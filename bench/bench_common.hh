@@ -48,19 +48,14 @@ setBench(const std::string& name)
 }
 
 /** Command-line overrides shared by every bench binary.  Unset
- * optionals leave the workload's own config (and any environment
+ * options leave the workload's own config (and any environment
  * overrides) untouched. */
 struct BenchOptions
 {
-    std::optional<gpu::SchedulerKind> scheduler;
-    std::optional<u32> threads; ///< 0 = auto (hardware threads).
-    std::optional<bool> workSteal;
-    std::optional<bool> idleSkip;
-    std::optional<bool> emuFastPath;
-    std::optional<bool> memFastPath;
-    std::optional<bool> eventTrace;
     std::optional<std::string> configFile; ///< --config <file>.
-    std::vector<std::string> sets;         ///< --set key=value, in order.
+    /** section.key=value assignments from --set and its flag
+     * aliases, in command-line order. */
+    std::vector<std::string> sets;
 };
 
 inline BenchOptions&
@@ -70,12 +65,30 @@ options()
     return opts;
 }
 
+/** A discrete bench flag and the config key it sets. */
+struct FlagAlias
+{
+    const char* flag;
+    const char* key;
+    const char* bareValue; ///< Value when given without one, or null.
+};
+
+/** Shorthand flags, each rewritten into `--set <key>=<value>`. */
+inline constexpr FlagAlias kFlagAliases[] = {
+    {"--scheduler", "engine.scheduler", nullptr},
+    {"--threads", "engine.threads", nullptr}, // 0 = all hw threads.
+    {"--work-steal", "engine.workSteal", nullptr},
+    {"--idle-skip", "engine.idleSkip", nullptr},
+    {"--event-trace", "stats.eventTrace", "true"},
+};
+
 /**
  * Consume the shared bench flags from argv, compacting the array in
  * place so downstream parsers (google-benchmark's Initialize) only
  * see their own `--benchmark_*` flags and positional arguments.
- * Exits with a diagnostic on a malformed value or an unrecognised
- * `--flag`.
+ * Every assignment is checked against a scratch config here, so a
+ * malformed value or an unrecognised `--flag` exits with a
+ * diagnostic before any work starts.
  */
 inline void
 parseArgs(int& argc, char** argv)
@@ -84,111 +97,78 @@ parseArgs(int& argc, char** argv)
         std::cerr << "error: bad bench flag '" << arg << "'\n"
                   << "usage: --scheduler=serial|parallel "
                      "--threads=N (0 = auto) --work-steal=0|1 "
-                     "--idle-skip=0|1 "
-                     "--emu-fastpath=0|1 --mem-fastpath=0|1 "
-                     "--event-trace[=0|1] "
+                     "--idle-skip=0|1 --event-trace[=0|1] "
                      "--config <file> --set section.key=value\n";
         std::exit(2);
     };
-    // Value of `--flag=v` or the following argv slot (`--flag v`).
-    const auto valueOf = [&](const std::string& flag, int& i,
-                             const std::string& arg) {
-        if (arg.size() > flag.size() && arg[flag.size()] == '=')
-            return arg.substr(flag.size() + 1);
+    // Value of `--flag=v` or the following argv slot (`--flag v`);
+    // null when the flag matches neither form.
+    const auto valueOf = [&](const char* flag, int& i,
+                             const std::string& arg,
+                             const char* bareValue)
+        -> std::optional<std::string> {
+        const std::string name(flag);
+        if (arg.rfind(name, 0) != 0)
+            return std::nullopt;
+        if (arg.size() > name.size() && arg[name.size()] == '=')
+            return arg.substr(name.size() + 1);
+        if (arg.size() != name.size())
+            return std::nullopt;
+        if (bareValue)
+            return std::string(bareValue);
         if (i + 1 >= argc)
             bad(arg);
         return std::string(argv[++i]);
     };
+    gpu::GpuConfig probe;
+    const auto addSet = [&](const std::string& assignment,
+                            const char* origin) {
+        try {
+            probe.applySet(assignment, origin);
+        } catch (const sim::ConfigError& e) {
+            std::cerr << "error: " << e.what() << "\n";
+            std::exit(2);
+        }
+        options().sets.push_back(assignment);
+    };
     int out = 1;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        if (arg.rfind("--scheduler=", 0) == 0) {
-            const std::string v = arg.substr(12);
-            const auto kind =
-                gpu::enumFromName<gpu::SchedulerKind>(v);
-            if (!kind)
-                bad(arg);
-            options().scheduler = *kind;
-        } else if (arg == "--config" ||
-                   arg.rfind("--config=", 0) == 0) {
-            options().configFile = valueOf("--config", i, arg);
-        } else if (arg == "--set" || arg.rfind("--set=", 0) == 0) {
-            const std::string v = valueOf("--set", i, arg);
-            if (v.find('=') == std::string::npos)
-                bad(arg);
-            options().sets.push_back(v);
-        } else if (arg.rfind("--threads=", 0) == 0) {
-            // 0 is valid and means "auto": resolve to the hardware
-            // thread count (mirrors ATTILA_SCHED_THREADS=0).
-            const std::string v = arg.substr(10);
-            char* end = nullptr;
-            const unsigned long n = std::strtoul(v.c_str(), &end, 10);
-            if (v.empty() || *end != '\0')
-                bad(arg);
-            options().threads = static_cast<u32>(n);
-        } else if (arg.rfind("--work-steal=", 0) == 0) {
-            const std::string v = arg.substr(13);
-            if (v == "1" || v == "true" || v == "on")
-                options().workSteal = true;
-            else if (v == "0" || v == "false" || v == "off")
-                options().workSteal = false;
-            else
-                bad(arg);
-        } else if (arg.rfind("--idle-skip=", 0) == 0) {
-            const std::string v = arg.substr(12);
-            if (v == "1" || v == "true" || v == "on")
-                options().idleSkip = true;
-            else if (v == "0" || v == "false" || v == "off")
-                options().idleSkip = false;
-            else
-                bad(arg);
-        } else if (arg.rfind("--emu-fastpath=", 0) == 0) {
-            const std::string v = arg.substr(15);
-            if (v == "1" || v == "true" || v == "on")
-                options().emuFastPath = true;
-            else if (v == "0" || v == "false" || v == "off")
-                options().emuFastPath = false;
-            else
-                bad(arg);
-        } else if (arg.rfind("--mem-fastpath=", 0) == 0) {
-            const std::string v = arg.substr(15);
-            if (v == "1" || v == "true" || v == "on")
-                options().memFastPath = true;
-            else if (v == "0" || v == "false" || v == "off")
-                options().memFastPath = false;
-            else
-                bad(arg);
-        } else if (arg == "--event-trace" ||
-                   arg.rfind("--event-trace=", 0) == 0) {
-            if (arg == "--event-trace") {
-                options().eventTrace = true;
-            } else {
-                const std::string v = arg.substr(14);
-                if (v == "1" || v == "true" || v == "on")
-                    options().eventTrace = true;
-                else if (v == "0" || v == "false" || v == "off")
-                    options().eventTrace = false;
-                else
-                    bad(arg);
-            }
-        } else if (arg.rfind("--benchmark_", 0) == 0) {
-            // google-benchmark's own flags pass through untouched.
-            argv[out++] = argv[i];
-        } else if (arg.rfind("--", 0) == 0 && arg.size() > 2) {
-            bad(arg);
-        } else {
-            argv[out++] = argv[i];
+        if (const auto v = valueOf("--config", i, arg, nullptr)) {
+            options().configFile = *v;
+            continue;
         }
+        if (const auto v = valueOf("--set", i, arg, nullptr)) {
+            addSet(*v, "--set");
+            continue;
+        }
+        bool aliased = false;
+        for (const FlagAlias& alias : kFlagAliases) {
+            if (const auto v =
+                    valueOf(alias.flag, i, arg, alias.bareValue)) {
+                addSet(std::string(alias.key) + "=" + *v, alias.flag);
+                aliased = true;
+                break;
+            }
+        }
+        if (aliased)
+            continue;
+        if (arg.rfind("--", 0) == 0 && arg.size() > 2 &&
+            arg.rfind("--benchmark_", 0) != 0)
+            bad(arg);
+        // google-benchmark's own flags and positionals pass through.
+        argv[out++] = argv[i];
     }
     argc = out;
 }
 
 /**
  * Apply the parsed overrides to a run's config.  Layering order
- * (later wins): workload defaults < `--config` file < `ATTILA_*`
- * environment < discrete flags < `--set` assignments.  Environment
- * overrides are consumed here, so the Gpu constructor sees
- * `envApplied` and does not re-apply them on top.
+ * (later wins): workload defaults < `--config` file < environment
+ * (ATTILA_CONFIG, ATTILA_CONFIG_SET) < `--set` and its flag aliases,
+ * in command-line order.  Environment overrides are consumed here,
+ * so the Gpu constructor sees `envApplied` and does not re-apply
+ * them on top.
  */
 inline void
 applyOptions(gpu::GpuConfig& config)
@@ -197,20 +177,6 @@ applyOptions(gpu::GpuConfig& config)
         if (options().configFile)
             config.applyFile(*options().configFile);
         config.applyEnvOverrides();
-        if (options().scheduler)
-            config.scheduler = *options().scheduler;
-        if (options().threads)
-            config.schedulerThreads = *options().threads;
-        if (options().workSteal)
-            config.schedWorkSteal = *options().workSteal;
-        if (options().idleSkip)
-            config.idleSkip = *options().idleSkip;
-        if (options().emuFastPath)
-            config.emuFastPath = *options().emuFastPath;
-        if (options().memFastPath)
-            config.memFastPath = *options().memFastPath;
-        if (options().eventTrace)
-            config.eventTrace = *options().eventTrace;
         for (const std::string& assignment : options().sets)
             config.applySet(assignment);
     } catch (const sim::ConfigError& e) {
@@ -315,10 +281,6 @@ emitJson(const std::string& label, const RunResult& result)
               << ",\"work_steal\":"
               << (c.schedWorkSteal ? "true" : "false")
               << ",\"idle_skip\":" << (c.idleSkip ? "true" : "false")
-              << ",\"emu_fastpath\":"
-              << (c.emuFastPath ? "true" : "false")
-              << ",\"mem_fastpath\":"
-              << (c.memFastPath ? "true" : "false")
               << ",\"event_trace\":"
               << (c.eventTrace ? "true" : "false")
               << ",\"mem_model\":\"" << gpu::enumName(c.memModel)
@@ -330,8 +292,8 @@ emitJson(const std::string& label, const RunResult& result)
 }
 
 /** Supplementary machine-readable line carrying a cache's hit/miss
- * counters alongside the run's wall-clock speed, so the CI A/B can
- * assert identical cache behaviour as well as identical cycles. */
+ * counters alongside the run's wall-clock speed, so runs can be
+ * compared on cache behaviour as well as on cycles. */
 inline void
 emitCacheJson(const std::string& label, const RunResult& result,
               u64 hits, u64 misses)

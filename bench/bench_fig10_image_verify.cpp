@@ -62,8 +62,6 @@ main(int argc, char** argv)
                                scene.frames, shortName);
 
         gpu::RefRenderer reference(64u << 20);
-        if (options().emuFastPath)
-            reference.setFastPath(*options().emuFastPath);
         reference.execute(scene.commands);
 
         const auto& simFrame = result.gpu->frames().back();

@@ -364,8 +364,9 @@ main(int argc, char** argv)
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
 
-    const bool idle_skip =
-        attila::bench::options().idleSkip.value_or(true);
+    attila::gpu::GpuConfig config;
+    attila::bench::applyOptions(config);
+    const bool idle_skip = config.idleSkip;
 
     // Machine-readable wall-clock line matching the other bench
     // binaries: the raw two-phase clock-loop rate.  Every stage of

@@ -35,7 +35,7 @@ renderOn(const gpu::GpuConfig& base, const gpu::CommandList& list)
 } // anonymous namespace
 
 int
-main()
+run()
 {
     workloads::WorkloadParams params;
     params.width = 160;
@@ -69,4 +69,18 @@ main()
     std::cout << "Same microarchitecture, same simulator — only the"
                  " configuration file changed (paper ref [2]).\n";
     return 0;
+}
+
+/** Report configuration and simulator errors instead of aborting. */
+int
+main()
+{
+    try {
+        return run();
+    } catch (const SimError& e) {
+        std::cerr << "error: " << e.what() << "\n";
+    } catch (const FatalError& e) {
+        std::cerr << "error: " << e.what() << "\n";
+    }
+    return 2;
 }

@@ -72,6 +72,9 @@ main(int argc, char** argv)
     } catch (const FatalError& e) {
         std::cerr << "error: " << e.what() << "\n";
         return 1;
+    } catch (const SimError& e) {
+        std::cerr << "error: " << e.what() << "\n";
+        return 2;
     }
     return 0;
 }

@@ -22,7 +22,7 @@
 using namespace attila;
 
 int
-main()
+run()
 {
     // 1. Configure a baseline ATTILA GPU (Tables 1 and 2 of the
     //    paper): 2 unified shader units, 2 ROPs, 4 memory channels.
@@ -81,4 +81,18 @@ main()
     std::cout << "Wrote out/quickstart.ppm and"
                  " out/quickstart_stats.csv\n";
     return 0;
+}
+
+/** Report configuration and simulator errors instead of aborting. */
+int
+main()
+{
+    try {
+        return run();
+    } catch (const SimError& e) {
+        std::cerr << "error: " << e.what() << "\n";
+    } catch (const FatalError& e) {
+        std::cerr << "error: " << e.what() << "\n";
+    }
+    return 2;
 }

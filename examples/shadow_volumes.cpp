@@ -17,7 +17,7 @@
 using namespace attila;
 
 int
-main(int argc, char** argv)
+run(int argc, char** argv)
 {
     workloads::WorkloadParams params;
     params.width = 256;
@@ -79,4 +79,18 @@ main(int argc, char** argv)
     std::cout << "Wrote out/shadow_sim_frame*.ppm /"
                  " out/shadow_ref_frame*.ppm\n";
     return 0;
+}
+
+/** Report configuration and simulator errors instead of aborting. */
+int
+main(int argc, char** argv)
+{
+    try {
+        return run(argc, argv);
+    } catch (const SimError& e) {
+        std::cerr << "error: " << e.what() << "\n";
+    } catch (const FatalError& e) {
+        std::cerr << "error: " << e.what() << "\n";
+    }
+    return 2;
 }

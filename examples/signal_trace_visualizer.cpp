@@ -19,7 +19,7 @@
 using namespace attila;
 
 int
-main()
+run()
 {
     const std::string tracePath =
         sim::outPath("pipeline.sigtrace");
@@ -97,4 +97,18 @@ main()
     }
     std::cout << "\nTrace file: " << tracePath << "\n";
     return 0;
+}
+
+/** Report configuration and simulator errors instead of aborting. */
+int
+main()
+{
+    try {
+        return run();
+    } catch (const SimError& e) {
+        std::cerr << "error: " << e.what() << "\n";
+    } catch (const FatalError& e) {
+        std::cerr << "error: " << e.what() << "\n";
+    }
+    return 2;
 }

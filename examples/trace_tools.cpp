@@ -22,7 +22,7 @@
 using namespace attila;
 
 int
-main()
+run()
 {
     const std::string tracePath = sim::outPath("terrain.agltrace");
     workloads::WorkloadParams params;
@@ -82,4 +82,18 @@ main()
             sim::outPath("terrain_hotstart.ppm"));
     }
     return 0;
+}
+
+/** Report configuration and simulator errors instead of aborting. */
+int
+main()
+{
+    try {
+        return run();
+    } catch (const SimError& e) {
+        std::cerr << "error: " << e.what() << "\n";
+    } catch (const FatalError& e) {
+        std::cerr << "error: " << e.what() << "\n";
+    }
+    return 2;
 }

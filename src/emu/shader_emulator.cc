@@ -267,7 +267,7 @@ ShaderEmulator::run(const ShaderProgram& program,
     panic("shader emulator: program did not terminate");
 }
 
-// ---- Pre-decoded fast path -------------------------------------
+// ---- Pre-decoded quad interpreter ------------------------------
 //
 // The interpreters below re-use the exact per-component expressions
 // of step() (see execDecodedAlu); only operand *addressing* changed.
@@ -279,7 +279,7 @@ namespace
 // instruction; the surrounding interpreter switch is so large that
 // the compiler's inlining budget otherwise outlines them into real
 // calls (a Vec4 returned through memory each time), which dominates
-// the fast path.  Force the issue.
+// the interpreter.  Force the issue.
 #if defined(__GNUC__) || defined(__clang__)
 #define ATTILA_EMU_FORCE_INLINE inline __attribute__((always_inline))
 #else
@@ -547,72 +547,11 @@ execDecodedAlu(const DecodedIns& ins, const ConstantBank& constants,
 
 } // anonymous namespace
 
-StepResult
-ShaderEmulator::stepDecoded(const DecodedProgram& program,
-                            const ConstantBank& constants,
-                            ShaderThreadState& state,
-                            const ImmediateSampler* sampler) const
-{
-    if (state.pc >= program.code.size())
-        panic("shader emulator: pc ", state.pc,
-              " past the end of a program of length ",
-              program.code.size());
-
-    const DecodedIns& ins = program.code[state.pc];
-
-    StepResult result;
-    result.latency = ins.latency;
-
-    if (ins.op == Opcode::END) {
-        result.outcome = StepOutcome::Done;
-        return result;
-    }
-
-    if (ins.isTexture) {
-        const Vec4 coord = readSrcD(ins.src[0], state, constants);
-        const f32 bias = ins.texBiased ? coord.w : 0.0f;
-        if (!sampler || !*sampler) {
-            result.outcome = StepOutcome::TexRequest;
-            result.texUnit = ins.texUnit;
-            result.texTarget = ins.texTarget;
-            result.texCoord = coord;
-            result.texLodBias = bias;
-            result.texProjected = ins.texProjected;
-            return result;
-        }
-        const Vec4 texel = (*sampler)(ins.texUnit, ins.texTarget,
-                                      coord, bias, ins.texProjected);
-        writeDstD(ins, state, texel);
-        ++state.pc;
-        result.outcome = StepOutcome::Continue;
-        return result;
-    }
-
-    if (ins.op == Opcode::KIL) {
-        const Vec4 a = readSrcD(ins.src[0], state, constants);
-        if (a.x < 0.0f || a.y < 0.0f || a.z < 0.0f || a.w < 0.0f) {
-            state.killed = true;
-            result.outcome = StepOutcome::Done;
-            return result;
-        }
-        ++state.pc;
-        result.outcome = StepOutcome::Continue;
-        return result;
-    }
-
-    const auto oneLane = [&](auto&& fn) { fn(state); };
-    execDecodedAlu(ins, constants, oneLane);
-    ++state.pc;
-    result.outcome = StepOutcome::Continue;
-    return result;
-}
-
 QuadStepResult
 ShaderEmulator::stepQuad(const DecodedProgram& program,
                          const ConstantBank& constants,
                          std::array<ShaderThreadState, 4>& lanes,
-                         std::array<bool, 4>& laneDone,
-                         const QuadSampler* sampler) const
+                         std::array<bool, 4>& laneDone) const
 {
     QuadStepResult result;
 
@@ -645,44 +584,20 @@ ShaderEmulator::stepQuad(const DecodedProgram& program,
     }
 
     if (ins.isTexture) {
-        if (!sampler || !*sampler) {
-            // Per-lane coordinate reads; the request fields take
-            // the last live lane's values, exactly as the per-lane
-            // request build loop overwrote them.
-            result.outcome = StepOutcome::TexRequest;
-            for (u32 l = 0; l < 4; ++l) {
-                if (laneDone[l])
-                    continue;
-                const Vec4 coord =
-                    readSrcD(ins.src[0], lanes[l], constants);
-                result.texUnit = ins.texUnit;
-                result.texTarget = ins.texTarget;
-                result.texCoords[l] = coord;
-                result.texLodBias =
-                    ins.texBiased ? coord.w : 0.0f;
-                result.texProjected = ins.texProjected;
-            }
-            return result;
-        }
-        // Inline quad access through the sampler: the *first* live
-        // lane supplies the shared bias, as the reference renderer's
-        // lockstep loop does.
-        std::array<Vec4, 4> coords{};
-        u8 live = 0;
-        f32 bias = 0.0f;
+        // Per-lane coordinate reads; the request carries one bias
+        // per quad, taken from the *last* live lane.
+        result.outcome = StepOutcome::TexRequest;
+        result.texUnit = ins.texUnit;
+        result.texTarget = ins.texTarget;
+        result.texProjected = ins.texProjected;
         for (u32 l = 0; l < 4; ++l) {
             if (laneDone[l])
                 continue;
-            coords[l] = readSrcD(ins.src[0], lanes[l], constants);
-            if (!live)
-                bias = ins.texBiased ? coords[l].w : 0.0f;
-            live |= static_cast<u8>(1u << l);
+            const Vec4 coord =
+                readSrcD(ins.src[0], lanes[l], constants);
+            result.texCoords[l] = coord;
+            result.texLodBias = ins.texBiased ? coord.w : 0.0f;
         }
-        const std::array<Vec4, 4> texels =
-            (*sampler)(ins.texUnit, ins.texTarget, coords, live,
-                       bias, ins.texProjected);
-        completeTextureQuad(program, lanes, laneDone, texels);
-        result.outcome = StepOutcome::Continue;
         return result;
     }
 
@@ -741,64 +656,6 @@ ShaderEmulator::completeTextureQuad(
     }
 }
 
-bool
-ShaderEmulator::runDecoded(const DecodedProgram& program,
-                           const ConstantBank& constants,
-                           ShaderThreadState& state,
-                           const ImmediateSampler* sampler) const
-{
-    // Tight interpreter loop: the same readSrcD / writeDstD /
-    // execDecodedAlu calls in the same order as stepDecoded(), but
-    // without materialising a StepResult per instruction.  The
-    // stepping path stays the reference for the timing model; this
-    // loop is the run-to-completion fast path.
-    const DecodedIns* const code = program.code.data();
-    const u32 length = static_cast<u32>(program.code.size());
-    const auto oneLane = [&](auto&& fn) { fn(state); };
-    // Keep pc in a local: readSrcD/writeDstD only touch the register
-    // arrays, so nothing in the loop aliases it; it is synced back to
-    // state.pc at every exit the stepping path can observe.
-    u32 pc = state.pc;
-    for (u32 guard = 0; guard < 65536; ++guard) {
-        if (pc >= length)
-            panic("shader emulator: pc ", pc,
-                  " past the end of a program of length ", length);
-        const DecodedIns& ins = code[pc];
-        if (ins.op == Opcode::END) {
-            state.pc = pc;
-            return !state.killed;
-        }
-        if (ins.isTexture) {
-            if (!sampler || !*sampler)
-                panic("shader emulator: runDecoded() needs an"
-                      " immediate sampler for texture instructions");
-            const Vec4 coord =
-                readSrcD(ins.src[0], state, constants);
-            const f32 bias = ins.texBiased ? coord.w : 0.0f;
-            const Vec4 texel =
-                (*sampler)(ins.texUnit, ins.texTarget, coord, bias,
-                           ins.texProjected);
-            writeDstD(ins, state, texel);
-            ++pc;
-            continue;
-        }
-        if (ins.op == Opcode::KIL) {
-            const Vec4 a = readSrcD(ins.src[0], state, constants);
-            if (a.x < 0.0f || a.y < 0.0f || a.z < 0.0f ||
-                a.w < 0.0f) {
-                state.pc = pc;
-                state.killed = true;
-                return false;
-            }
-            ++pc;
-            continue;
-        }
-        execDecodedAlu(ins, constants, oneLane);
-        ++pc;
-    }
-    panic("shader emulator: program did not terminate");
-}
-
 void
 ShaderEmulator::runQuad(const DecodedProgram& program,
                         const ConstantBank& constants,
@@ -808,7 +665,7 @@ ShaderEmulator::runQuad(const DecodedProgram& program,
                         const QuadSampler& sampler) const
 {
     // Tight quad-lockstep loop: identical per-lane arithmetic and
-    // ordering to stepQuad() with an inline sampler, minus the
+    // ordering to stepQuad() + completeTextureQuad(), minus the
     // per-instruction QuadStepResult and ref-lane rescans.
     const DecodedIns* const code = program.code.data();
     const u32 length = static_cast<u32>(program.code.size());
@@ -829,32 +686,48 @@ ShaderEmulator::runQuad(const DecodedProgram& program,
     bool anyDone =
         laneDone[0] || laneDone[1] || laneDone[2] || laneDone[3];
     // Converged kernel: a program with no texture access and no KIL
-    // keeps all four lanes live and in lockstep until END, so the
-    // quad shares a single register-resident pc and runs without any
-    // divergence bookkeeping.  Lane order inside execDecodedAlu is
-    // the same 0..3, keeping results bit-identical to the general
-    // path below.
-    if (!program.hasTexture && !program.hasKil && !anyDone) {
-        u32 pc = lanes[0].pc;
-        for (u32 guard = 0; guard < 65536; ++guard) {
-            if (pc >= length)
-                panic("shader emulator: pc ", pc,
-                      " past the end of a program of length ",
-                      length);
-            const DecodedIns& ins = code[pc];
-            if (ins.op == Opcode::END) {
-                for (u32 l = 0; l < 4; ++l) {
-                    lanes[l].pc = pc;
-                    laneDone[l] = true;
-                    killed[l] = lanes[l].killed;
-                }
-                return;
-            }
-            execDecodedAlu(ins, constants, allLanes);
-            ++pc;
+    // keeps every live lane in lockstep until END, so the quad shares
+    // a single register-resident pc and runs without any divergence
+    // bookkeeping (a vertex is a quad with one live lane).  Live
+    // lanes run in order 0..3, keeping results bit-identical to the
+    // general path below.
+    if (!program.hasTexture && !program.hasKil) {
+        std::array<ShaderThreadState*, 4> live{};
+        u32 numLive = 0;
+        for (u32 l = 0; l < 4; ++l) {
+            if (!laneDone[l])
+                live[numLive++] = &lanes[l];
         }
-        panic("shader emulator: fragment program did not"
-              " terminate");
+        const auto liveOnly = [&](auto&& fn) {
+            for (u32 i = 0; i < numLive; ++i)
+                fn(*live[i]);
+        };
+        const auto converged = [&](auto&& visit) {
+            u32 pc = live[0]->pc;
+            for (u32 guard = 0; guard < 65536; ++guard) {
+                if (pc >= length)
+                    panic("shader emulator: pc ", pc,
+                          " past the end of a program of length ",
+                          length);
+                const DecodedIns& ins = code[pc];
+                if (ins.op == Opcode::END) {
+                    for (u32 i = 0; i < numLive; ++i)
+                        live[i]->pc = pc;
+                    for (u32 l = 0; l < 4; ++l) {
+                        laneDone[l] = true;
+                        killed[l] = lanes[l].killed;
+                    }
+                    return;
+                }
+                execDecodedAlu(ins, constants, visit);
+                ++pc;
+            }
+            panic("shader emulator: program did not terminate");
+        };
+        if (numLive == 4)
+            return converged(allLanes);
+        if (numLive > 0)
+            return converged(liveOnly);
     }
     for (u32 guard = 0; guard < 65536; ++guard) {
         s32 ref = -1;
@@ -884,8 +757,7 @@ ShaderEmulator::runQuad(const DecodedProgram& program,
             if (!sampler)
                 panic("shader emulator: runQuad() needs a quad"
                       " sampler for texture instructions");
-            // The *first* live lane supplies the shared bias, as
-            // the reference renderer's lockstep loop does.
+            // The *first* live lane supplies the shared bias.
             std::array<Vec4, 4> coords{};
             u8 live = 0;
             f32 bias = 0.0f;
@@ -941,8 +813,7 @@ ShaderEmulator::runQuad(const DecodedProgram& program,
     }
     for (u32 l = 0; l < 4; ++l) {
         if (!laneDone[l])
-            panic("shader emulator: fragment program did not"
-                  " terminate");
+            panic("shader emulator: program did not terminate");
         killed[l] = lanes[l].killed;
     }
 }

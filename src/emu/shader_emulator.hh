@@ -5,12 +5,15 @@
  * (paper §3).
  *
  * The emulator is pure functional code: it knows nothing about
- * cycles.  The timing boxes (ShaderUnit) call step() to execute one
- * instruction and learn its latency class; the reference renderer
- * calls run() to execute a whole program.  Texture sampling is
- * delegated through the TextureSampler interface so that the timing
- * path can route requests through the Texture Unit while functional
- * paths sample immediately.
+ * cycles.  The timing boxes (ShaderUnit) call stepQuad() to execute
+ * one instruction for a 2x2 quad and learn its latency class; the
+ * reference renderer calls runQuad() to execute a whole program.
+ * Both run a pre-decoded program.  The scalar step()/run() pair
+ * interprets a ShaderProgram directly and is kept as the reference
+ * interpreter the tests and the shader micro benchmark compare
+ * against.  Texture sampling is delegated through sampler callbacks
+ * so that the timing path can route requests through the Texture
+ * Unit while functional paths sample immediately.
  */
 
 #ifndef ATTILA_EMU_SHADER_EMULATOR_HH
@@ -150,34 +153,26 @@ class ShaderEmulator
              const ConstantBank& constants, ShaderThreadState& state,
              const ImmediateSampler* sampler = nullptr) const;
 
-    // ---- Pre-decoded fast path (see emu/decoded_program.hh) ----
+    // ---- Pre-decoded quad interpreter (emu/decoded_program.hh) ----
     //
-    // The decoded interpreters execute the same arithmetic in the
-    // same per-lane order as step(); registers stay bit-identical
-    // between the two paths.
-
-    /** step() against a pre-decoded program (scalar reference for
-     * the decode cache alone, used by the micro benchmark). */
-    StepResult stepDecoded(const DecodedProgram& program,
-                           const ConstantBank& constants,
-                           ShaderThreadState& state,
-                           const ImmediateSampler* sampler =
-                               nullptr) const;
+    // The timing model and the reference renderer both execute
+    // through these.  They run the same arithmetic in the same
+    // per-lane order as step(), so registers stay bit-identical with
+    // the scalar interpreter above, which remains the test oracle.
+    // A single thread (a vertex in the reference renderer) is a quad
+    // with one live lane.
 
     /**
      * Execute one instruction for every live lane of a quad in
      * lockstep.  Lane l is live when !laneDone[l]; END and KIL mark
-     * lanes done in place.  Without a @p sampler a texture
-     * instruction returns TexRequest and advances no pc (service it
-     * with completeTextureQuad()); with one, the whole quad's access
-     * resolves inline through a single sampler call.
+     * lanes done in place.  A texture instruction returns TexRequest
+     * and advances no pc: the caller services it and then calls
+     * completeTextureQuad().
      */
     QuadStepResult stepQuad(const DecodedProgram& program,
                             const ConstantBank& constants,
                             std::array<ShaderThreadState, 4>& lanes,
-                            std::array<bool, 4>& laneDone,
-                            const QuadSampler* sampler =
-                                nullptr) const;
+                            std::array<bool, 4>& laneDone) const;
 
     /** Finish a pending quad texture access: write each live lane's
      * texel and advance its pc. */
@@ -185,12 +180,6 @@ class ShaderEmulator
                              std::array<ShaderThreadState, 4>& lanes,
                              const std::array<bool, 4>& laneDone,
                              const std::array<Vec4, 4>& texels) const;
-
-    /** run() against a pre-decoded program. */
-    bool runDecoded(const DecodedProgram& program,
-                    const ConstantBank& constants,
-                    ShaderThreadState& state,
-                    const ImmediateSampler* sampler = nullptr) const;
 
     /**
      * Run a quad to completion in lockstep; texture instructions

@@ -157,9 +157,6 @@ class FbCache
         u32 lineBytes = 256;
         u32 ports = 4;          ///< Accesses per cycle.
         u32 maxOutstanding = 4; ///< Concurrent misses.
-        /** Host fast path: pooled transactions + batched stats
-         * (GpuConfig::memFastPath).  Timing-identical either way. */
-        bool fastPath = true;
     };
 
     FbCache(std::string name, const Config& config,
@@ -274,7 +271,6 @@ class FbCache
     s32 findLine(u32 lineAddr);
     s32 pickVictim(u32 set);
     void queueWriteback(Cycle unusedCycle, u32 lineIndex);
-    MemTransactionPtr makeTransaction();
     u8 allocFillSlot();
     void removeFillAt(u32 orderPos);
     void commitStats();

@@ -21,18 +21,13 @@ ColorWrite::ColorWrite(sim::SignalBinder& binder,
              FbCache::Config{config.colorCacheKB,
                              config.colorCacheWays,
                              config.colorCacheLine, 4,
-                             config.colorCacheMshr,
-                             config.memFastPath},
+                             config.colorCacheMshr},
              stat("cacheHits"), stat("cacheMisses"), &_backing),
       _statQuads(stat("quads")),
       _statFragments(stat("fragments")),
       _statBlended(stat("blendedFragments")),
       _statBusy(stat("busyCycles"))
 {
-    _statQuads.setImmediate(!config.memFastPath);
-    _statFragments.setImmediate(!config.memFastPath);
-    _statBlended.setImmediate(!config.memFastPath);
-    _statBusy.setImmediate(!config.memFastPath);
     const std::string id = std::to_string(unit);
     _earlyIn.init(*this, binder, "ffifo.ropc" + id, 2, 1, 16);
     _lateIn.init(*this, binder, "ropz" + id + ".ropc", 1,

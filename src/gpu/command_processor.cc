@@ -16,7 +16,6 @@ CommandProcessor::CommandProcessor(sim::SignalBinder& binder,
       _statBusy(stat("busyCycles"))
 {
     _drawOut.init(*this, binder, "cp.draw", 1, 1, 4);
-    _txns.setPooled(config.memFastPath);
     _mem.init(*this, binder, "mc.cp", _config.memoryRequestQueue);
 
     for (u32 i = 0; i < config.numRops; ++i) {

@@ -17,8 +17,8 @@
 #include "gpu/color_write.hh"
 #include "gpu/gpu_config.hh"
 #include "gpu/link.hh"
-#include "gpu/txn_pool.hh"
 #include "sim/box.hh"
+#include "sim/object_pool.hh"
 
 namespace attila::gpu
 {
@@ -79,7 +79,7 @@ class Dac : public sim::Box
     LinkRx<ControlObj> _ctrl;
     LinkTx _ack;
     MemPort _mem;
-    TxnAllocator _txns;
+    sim::ObjectPool<MemTransaction> _txns;
 
     std::vector<std::shared_ptr<const ColorClearInfo>> _clearInfos;
     const emu::GpuMemory* _memory = nullptr;

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstdlib>
 
-#include "emu/decoded_program.hh"
-
 namespace attila::gpu
 {
 
@@ -13,9 +11,8 @@ namespace
 
 /**
  * Environment layering for direct Gpu construction (tests, examples,
- * embedded hosts): ATTILA_CONFIG / ATTILA_CONFIG_SET plus the legacy
- * per-knob toggles, all parsed by GpuConfig::applyEnvOverrides()
- * against the shared string<->enum tables.  A config that already
+ * embedded hosts): ATTILA_CONFIG / ATTILA_CONFIG_SET, parsed by
+ * GpuConfig::applyEnvOverrides().  A config that already
  * went through a harness's explicit layering (envApplied) passes
  * through untouched, so `--set` overrides stay on top of the
  * environment.

@@ -19,7 +19,8 @@
 #include <fstream>
 #include <sstream>
 
-#include "emu/decoded_program.hh"
+#include <unistd.h>
+
 #include "gpu/dram_timing.hh"
 #include "sim/config_file.hh"
 
@@ -128,8 +129,6 @@ visitConfigFields(GpuConfig& c, V&& v)
     v.field("engine.workSteal", c.schedWorkSteal);
     v.field("engine.partitionSlack", c.schedPartitionSlack);
     v.field("engine.idleSkip", c.idleSkip);
-    v.field("engine.emuFastPath", c.emuFastPath);
-    v.field("engine.memFastPath", c.memFastPath);
     v.field("engine.drainPollInterval", c.drainPollInterval);
 
     v.field("stats.window", c.statsWindow);
@@ -269,23 +268,6 @@ applyConfig(GpuConfig& c, const sim::ConfigFile& cfg)
     cfg.failOnUnconsumed("GpuConfig");
 }
 
-/** Shared boolean env parsing for the legacy ATTILA_* toggles. */
-std::optional<bool>
-envFlag(const char* name)
-{
-    const char* env = std::getenv(name);
-    if (!env)
-        return std::nullopt;
-    const std::string flag(env);
-    if (flag.empty())
-        return std::nullopt;
-    if (flag == "1" || flag == "true" || flag == "on")
-        return true;
-    if (flag == "0" || flag == "false" || flag == "off")
-        return false;
-    fatal(name, "='", flag, "': expected 0|1|false|true|off|on");
-}
-
 } // anonymous namespace
 
 CacheGeometry
@@ -415,47 +397,30 @@ GpuConfig::applySet(const std::string& assignment,
 void
 GpuConfig::applyEnvOverrides()
 {
+    // Only the two config variables are read.  Any other ATTILA_*
+    // variable is a leftover knob whose value would otherwise be
+    // silently ignored.
+    for (char** env = environ; *env; ++env) {
+        const std::string entry(*env);
+        const std::string name = entry.substr(0, entry.find('='));
+        if (name.rfind("ATTILA_", 0) == 0 && name != "ATTILA_CONFIG" &&
+            name != "ATTILA_CONFIG_SET") {
+            throw sim::ConfigError(
+                "config: environment variable " + name +
+                " is not supported; set options through "
+                "ATTILA_CONFIG_SET=section.key=value (or a file named "
+                "by ATTILA_CONFIG)");
+        }
+    }
     if (const char* env = std::getenv("ATTILA_CONFIG")) {
         if (*env)
             applyFile(env);
     }
     if (const char* env = std::getenv("ATTILA_CONFIG_SET")) {
-        // Comma or semicolon separated section.key=value list.
-        std::string item;
-        std::istringstream in(env);
-        while (std::getline(in, item, ',')) {
-            std::istringstream sub(item);
-            std::string one;
-            while (std::getline(sub, one, ';')) {
-                if (!one.empty())
-                    applySet(one, "ATTILA_CONFIG_SET");
-            }
-        }
+        for (const std::string& one :
+             sim::ConfigFile::splitAssignments(env))
+            applySet(one, "ATTILA_CONFIG_SET");
     }
-    if (const char* env = std::getenv("ATTILA_SCHEDULER")) {
-        const std::string kind(env);
-        if (!kind.empty()) {
-            if (const auto v = enumFromName<SchedulerKind>(kind))
-                scheduler = *v;
-            else
-                fatal("ATTILA_SCHEDULER='", kind, "': expected ",
-                      enumChoices<SchedulerKind>());
-        }
-    }
-    if (const char* env = std::getenv("ATTILA_SCHED_THREADS")) {
-        schedulerThreads =
-            static_cast<u32>(std::strtoul(env, nullptr, 10));
-    }
-    if (const auto flag = envFlag("ATTILA_WORK_STEAL"))
-        schedWorkSteal = *flag;
-    if (const auto flag = envFlag("ATTILA_IDLE_SKIP"))
-        idleSkip = *flag;
-    if (const auto fast = emu::envFastPathOverride())
-        emuFastPath = *fast;
-    if (const auto flag = envFlag("ATTILA_MEM_FASTPATH"))
-        memFastPath = *flag;
-    if (const auto flag = envFlag("ATTILA_EVENT_TRACE"))
-        eventTrace = *flag;
     envApplied = true;
 }
 

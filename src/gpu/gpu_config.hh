@@ -8,8 +8,9 @@
  * text-configuration system (sim/config_file.hh):
  *
  *   defaults  <  --config file  <  ATTILA_CONFIG file
- *             <  ATTILA_CONFIG_SET / legacy ATTILA_* env vars
- *             <  --set section.key=value
+ *             <  ATTILA_CONFIG_SET
+ *             <  --set section.key=value and the bench flags that
+ *                alias it, in command-line order
  *
  * fromFile()/toFile() round-trip the full parameter set;
  * toConfigText() is the canonical dump whose FNV-1a hash keys
@@ -68,9 +69,9 @@ enum class DramSchedPolicy : u8
 
 // ===== String <-> enum tables =====================================
 // The single source of truth for every textual spelling of a config
-// enum, shared by the config-file loader, the bench --flags and the
-// ATTILA_* environment overrides.  Adding an enumerator means adding
-// exactly one table row.
+// enum, shared by the config-file loader and therefore by every
+// layer above it (ATTILA_CONFIG_SET, --set and the bench flags).
+// Adding an enumerator means adding exactly one table row.
 
 /** One name↔value binding of a config enum. */
 template <typename E>
@@ -313,16 +314,14 @@ struct GpuConfig
     u32 frfcfsWindow = 16;
 
     // ===== Execution engine =========================================
-    /** Box-loop engine; overridable via ATTILA_SCHEDULER
-     * (serial|parallel). */
+    /** Box-loop engine (engine.scheduler = serial|parallel). */
     SchedulerKind scheduler = SchedulerKind::Serial;
     /** Worker threads for the parallel engine; 0 = all hardware
-     * threads.  Overridable via ATTILA_SCHED_THREADS. */
+     * threads. */
     u32 schedulerThreads = 0;
     /** Parallel engine: idle workers steal active boxes from loaded
      * partitions (commit order stays canonical, so results are
-     * bit-identical either way).  Overridable via
-     * ATTILA_WORK_STEAL=0|1. */
+     * bit-identical either way). */
     bool schedWorkSteal = true;
     /** Parallel engine: partition size cap as a percentage of
      * perfect balance; larger values let the partitioner keep heavy
@@ -332,22 +331,8 @@ struct GpuConfig
     /** Activity-driven clocking: skip provably idle boxes and
      * fast-forward fully idle stretches.  Bit-identical results
      * either way; false restores the always-clock reference path
-     * for debugging and A/B runs.  Overridable via
-     * ATTILA_IDLE_SKIP=0|1. */
+     * for debugging and A/B runs. */
     bool idleSkip = true;
-    /** Pre-decoded shader programs + quad-lockstep emulation (and
-     * the shared-footprint texture sampling that rides on it).
-     * Bit-identical results either way; false restores the
-     * per-lane interpreter reference path for debugging and A/B
-     * runs.  Overridable via ATTILA_EMU_FASTPATH=0|1. */
-    bool emuFastPath = true;
-    /** Memory-hierarchy host fast path: pooled MemTransaction
-     * recycling, batched statistic commits and reused sampling
-     * scratch in the cache clients and memory controller.
-     * Bit-identical cycles and statistics either way; false restores
-     * the allocate-per-transaction reference path for debugging and
-     * A/B runs.  Overridable via ATTILA_MEM_FASTPATH=0|1. */
-    bool memFastPath = true;
     /** Cycles between drain polls once the command stream is
      * exhausted (the poll walks every box and signal, so it is too
      * expensive to run each cycle). */
@@ -359,9 +344,8 @@ struct GpuConfig
     /** Structured binary event tracing (box activity spans, signal
      * occupancy, cache transactions, shader thread slots).  Works
      * under any scheduler; exported to Chrome-tracing/Perfetto JSON
-     * by the benches and examples.  Overridable via
-     * ATTILA_EVENT_TRACE=0|1; no-op when the build compiled tracing
-     * out (ATTILA_TRACE_EVENTS=0). */
+     * by the benches and examples.  No-op when the build compiled
+     * tracing out (ATTILA_TRACE_EVENTS=0). */
     bool eventTrace = false;
 
     // ===== Host bookkeeping (not configuration state) ===============
@@ -442,14 +426,13 @@ struct GpuConfig
 
     /**
      * Apply the environment layer: ATTILA_CONFIG (a config file
-     * path), ATTILA_CONFIG_SET (comma/semicolon-separated
-     * section.key=value overrides) and the legacy per-knob variables
-     * (ATTILA_SCHEDULER, ATTILA_SCHED_THREADS, ATTILA_WORK_STEAL,
-     * ATTILA_IDLE_SKIP, ATTILA_EMU_FASTPATH, ATTILA_MEM_FASTPATH).
-     * Idempotent per
-     * config: sets envApplied so the Gpu constructor skips its own
-     * application when a harness already layered the environment
-     * (keeping `--set` the highest-precedence layer).
+     * path), then ATTILA_CONFIG_SET (section.key=value overrides
+     * separated by ';', or by ',' where the next assignment begins).
+     * Throws ConfigError when any other ATTILA_* variable is set, so
+     * a retired knob fails loudly instead of being ignored.  Sets
+     * envApplied so the Gpu constructor skips its own application
+     * when a harness already layered the environment (keeping
+     * `--set` the highest-precedence layer).
      */
     void applyEnvOverrides();
 

@@ -15,7 +15,6 @@ MemoryController::MemoryController(sim::SignalBinder& binder,
     : Box(binder, stats, "MemoryController"),
       _config(config),
       _memory(memory),
-      _fastPath(config.memFastPath),
       _banked(config.memModel == MemModel::Banked),
       _timing(DramTiming::parse(config.dramTiming)),
       _statReadBytes(stat("readBytes")),
@@ -64,20 +63,6 @@ MemoryController::MemoryController(sim::SignalBinder& binder,
         _bpcShift = static_cast<u32>(
             std::countr_zero(config.channelBytesPerCycle));
     }
-
-    const bool immediate = !_fastPath;
-    _statReadBytes.setImmediate(immediate);
-    _statWriteBytes.setImmediate(immediate);
-    _statBusyCycles.setImmediate(immediate);
-    _statPageOpens.setImmediate(immediate);
-    _statTurnarounds.setImmediate(immediate);
-    _statRowHits.setImmediate(immediate);
-    _statRowMisses.setImmediate(immediate);
-    _statRowConflicts.setImmediate(immediate);
-    _statPrecharges.setImmediate(immediate);
-    _statActivates.setImmediate(immediate);
-    for (auto& stat : _statClientBytes)
-        stat.setImmediate(immediate);
 }
 
 void
@@ -121,10 +106,7 @@ MemoryController::acceptRequests(Cycle cycle)
                 offset += size;
                 ++bursts;
             }
-            if (_fastPath)
-                txn->hostBurstsLeft = bursts;
-            else
-                _pendingBursts[txn.get()] = bursts;
+            txn->hostBurstsLeft = bursts;
             ++_pendingTxns;
         }
     }
@@ -288,24 +270,11 @@ MemoryController::completeBursts(Cycle cycle)
         _totalBytes += b.size;
         _statClientBytes[b.clientIdx].inc(b.size);
 
-        bool lastBurst = false;
-        if (_fastPath) {
-            if (b.txn->hostBurstsLeft == 0) {
-                panic("memory controller: completion for an unknown"
-                      " transaction");
-            }
-            lastBurst = --b.txn->hostBurstsLeft == 0;
-        } else {
-            auto it = _pendingBursts.find(b.txn.get());
-            if (it == _pendingBursts.end()) {
-                panic("memory controller: completion for an unknown"
-                      " transaction");
-            }
-            lastBurst = --it->second == 0;
-            if (lastBurst)
-                _pendingBursts.erase(it);
+        if (b.txn->hostBurstsLeft == 0) {
+            panic("memory controller: completion for an unknown"
+                  " transaction");
         }
-        if (lastBurst) {
+        if (--b.txn->hostBurstsLeft == 0) {
             --_pendingTxns;
             _clients[b.clientIdx]->completed.push_back(
                 std::move(b.txn));

@@ -15,13 +15,11 @@
  * completion time.  Clients therefore observe memory-consistent data
  * with realistic timing.
  *
- * Host-side fast path (GpuConfig::memFastPath, timing-identical):
- * burst bookkeeping lives in the transaction itself
- * (MemTransaction::hostBurstsLeft) instead of a std::map keyed by
- * pointer, the per-channel and completion queues are RingQueues
- * instead of deques, address decomposition uses precomputed
- * shift/mask pairs when the geometry is a power of two, and
- * statistics commit once per clock.
+ * Host-side bookkeeping (not modelled state): each transaction counts
+ * its own outstanding bursts (MemTransaction::hostBurstsLeft), the
+ * per-channel and completion queues are RingQueues, address
+ * decomposition uses precomputed shift/mask pairs when the geometry
+ * is a power of two, and statistics commit once per clock.
  *
  * Timing models (GpuConfig::memModel):
  *
@@ -43,7 +41,6 @@
 #ifndef ATTILA_GPU_MEMORY_CONTROLLER_HH
 #define ATTILA_GPU_MEMORY_CONTROLLER_HH
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -240,14 +237,10 @@ class MemoryController : public sim::Box
     emu::GpuMemory& _memory;
     std::vector<std::unique_ptr<ClientPort>> _clients;
     std::vector<Channel> _channels;
-    bool _fastPath = true;
     bool _banked = false;
     DramTiming _timing;
-    /** Transactions accepted but not yet completed (both paths). */
+    /** Transactions accepted but not yet completed. */
     u32 _pendingTxns = 0;
-    /** Reference-path burst bookkeeping (memFastPath off); the fast
-     * path counts down MemTransaction::hostBurstsLeft instead. */
-    std::map<const MemTransaction*, u32> _pendingBursts;
     u64 _totalBytes = 0;
 
     // Precomputed address decomposition (power-of-two geometry).

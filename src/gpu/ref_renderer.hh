@@ -44,12 +44,6 @@ class RefRenderer
 
     emu::GpuMemory& memory() { return *_memory; }
 
-    /** Toggle the pre-decoded quad-lockstep fast path (bit-identical
-     * output either way; defaults to GpuConfig::emuFastPath's
-     * ATTILA_EMU_FASTPATH-aware default). */
-    void setFastPath(bool on) { _fastPath = on; }
-    bool fastPath() const { return _fastPath; }
-
   private:
     struct ShadedVertex
     {
@@ -75,10 +69,11 @@ class RefRenderer
     RenderState _state;
     std::vector<FrameImage> _frames;
     emu::ShaderEmulator _emulator;
-    /** Pre-decoded program cache (fast path); mutable because
-     * shadeQuad() is const and decode-on-first-use is pure. */
+    /** Pre-decoded program cache; mutable because shadeQuad() is
+     * const and decode-on-first-use is pure. */
     mutable emu::DecodedProgramCache _decodeCache;
-    bool _fastPath = emu::emuFastPathDefault();
+    /** Vertex shading scratch (a quad with one live lane). */
+    std::array<emu::ShaderThreadState, 4> _vertexLanes;
 };
 
 } // namespace attila::gpu

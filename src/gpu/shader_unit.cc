@@ -13,7 +13,6 @@ ShaderUnit::ShaderUnit(sim::SignalBinder& binder,
       _config(config),
       _unit(unit),
       _vertexOnly(vertex_only),
-      _fastPath(config.emuFastPath),
       _statInstructions(stat("instructions")),
       _statThreads(stat("threads")),
       _statTexRequests(stat("textureRequests")),
@@ -59,18 +58,15 @@ ShaderUnit::acceptWork(Cycle cycle)
         thread.order = _orderCounter++;
         thread.work = std::move(work);
         const RenderState& state = *thread.work->state;
-        if (thread.work->target == emu::ShaderTarget::Vertex) {
-            thread.program = state.vertexProgram;
-            thread.constants = &state.vertexConstants;
-        } else {
-            thread.program = state.fragmentProgram;
-            thread.constants = &state.fragmentConstants;
-        }
-        if (!thread.program)
+        const bool vertex =
+            thread.work->target == emu::ShaderTarget::Vertex;
+        const emu::ShaderProgramPtr& program =
+            vertex ? state.vertexProgram : state.fragmentProgram;
+        if (!program)
             panic("ShaderUnit", _unit, ": work without a program");
-        thread.decoded = nullptr;
-        if (_fastPath)
-            thread.decoded = &_decodeCache.get(thread.program);
+        thread.decoded = &_decodeCache.get(program);
+        thread.constants =
+            vertex ? &state.vertexConstants : &state.fragmentConstants;
         for (u32 l = 0; l < 4; ++l) {
             thread.lanes[l].reset();
             thread.lanes[l].in = thread.work->in[l];
@@ -79,7 +75,6 @@ ShaderUnit::acceptWork(Cycle cycle)
         thread.waitingTexture = false;
         thread.finished = false;
         thread.tempReady.fill(0);
-        thread.pendingTex.reset();
         thread.epoch = 1;
         thread.depsEpoch = 0;
         _activeSlots.push_back(slot);
@@ -115,25 +110,12 @@ ShaderUnit::handleTexResponses(Cycle cycle)
                         break;
                     }
                 }
-                s32 dstTemp = -1;
-                if (thread.decoded) {
-                    dstTemp = thread.decoded->code[pc].dstTempIndex;
-                    _emulator.completeTextureQuad(
-                        *thread.decoded, thread.lanes,
-                        thread.laneDone, resp->texels);
-                } else {
-                    const emu::Instruction& ins =
-                        thread.program->code[pc];
-                    if (ins.dst.bank == emu::Bank::Temp)
-                        dstTemp = ins.dst.index;
-                    for (u32 l = 0; l < 4; ++l) {
-                        if (thread.laneDone[l])
-                            continue;
-                        _emulator.completeTexture(*thread.program,
-                                                  thread.lanes[l],
-                                                  resp->texels[l]);
-                    }
-                }
+                const s32 dstTemp =
+                    thread.decoded->code[pc].dstTempIndex;
+                _emulator.completeTextureQuad(*thread.decoded,
+                                              thread.lanes,
+                                              thread.laneDone,
+                                              resp->texels);
                 // The texture result register becomes readable
                 // shortly after the response arrives.
                 if (dstTemp >= 0)
@@ -165,25 +147,13 @@ ShaderUnit::computeReadyAt(const Thread& thread) const
     if (pc == ~0u)
         return 0;
     Cycle readyAt = 0;
-    if (thread.decoded) {
-        const emu::DecodedIns& d = thread.decoded->code[pc];
-        for (u32 i = 0; i < d.numSrc; ++i) {
-            const emu::DecodedSrc& src = d.src[i];
-            if (!src.fromConstants &&
-                src.offset >= emu::decoded::tempBase) {
-                readyAt = std::max(
-                    readyAt, thread.tempReady[src.offset -
-                                              emu::decoded::tempBase]);
-            }
-        }
-        return readyAt;
-    }
-    const emu::Instruction& ins = thread.program->code[pc];
-    const emu::OpcodeInfo& info = emu::opcodeInfo(ins.op);
-    for (u32 i = 0; i < info.numSrc; ++i) {
-        if (ins.src[i].bank == emu::Bank::Temp) {
-            readyAt = std::max(readyAt,
-                               thread.tempReady[ins.src[i].index]);
+    const emu::DecodedIns& d = thread.decoded->code[pc];
+    for (u32 i = 0; i < d.numSrc; ++i) {
+        const emu::DecodedSrc& src = d.src[i];
+        if (!src.fromConstants && src.offset >= emu::decoded::tempBase) {
+            readyAt = std::max(
+                readyAt,
+                thread.tempReady[src.offset - emu::decoded::tempBase]);
         }
     }
     return readyAt;
@@ -290,73 +260,21 @@ ShaderUnit::execute(Cycle cycle, Thread& thread)
             return;
         }
 
-        const u32 pc = thread.lanes[ref].pc;
-
-        if (thread.decoded) {
-            // Pre-decoded quad-lockstep path: one dispatch per
-            // instruction instead of one per live lane.  Stats,
-            // latencies and the scoreboard update exactly as below.
-            const emu::DecodedIns& d = thread.decoded->code[pc];
-            if (d.isTexture) {
-                LinkTx& link = *_texReq[_tuNext % _texReq.size()];
-                if (!link.canSend(cycle))
-                    return; // No TU slot this cycle; retry.
-                const auto qs = _emulator.stepQuad(
-                    *thread.decoded, *thread.constants, thread.lanes,
-                    thread.laneDone);
-                if (qs.outcome != StepOutcome::TexRequest)
-                    panic("ShaderUnit", _unit,
-                          ": expected a texture request");
-                auto req = makeTexRequest();
-                req->shaderId = _unit;
-                req->threadTag = thread.work->entryId;
-                req->state = thread.work->state;
-                req->setInfo("tex");
-                req->copyTrailFrom(*thread.work);
-                for (u32 l = 0; l < 4; ++l) {
-                    req->active[l] = !thread.laneDone[l];
-                    if (!thread.laneDone[l])
-                        req->coords[l] = qs.texCoords[l];
-                }
-                req->textureUnit = qs.texUnit;
-                req->target = qs.texTarget;
-                req->lodBias = qs.texLodBias;
-                req->projected = qs.texProjected;
-                link.send(cycle, req);
-                _tuNext = (_tuNext + 1) %
-                          std::max<std::size_t>(1, _texReq.size());
-                thread.waitingTexture = true;
-                ++thread.epoch;
-                _statTexRequests.inc();
-                _statInstructions.inc();
-                return;
-            }
-
-            const auto qs = _emulator.stepQuad(
-                *thread.decoded, *thread.constants, thread.lanes,
-                thread.laneDone);
-            _statInstructions.inc();
-            if (d.dstTempIndex >= 0) {
-                thread.tempReady[static_cast<u32>(d.dstTempIndex)] =
-                    cycle + qs.latency;
-            }
-            ++thread.epoch;
-            if (qs.outcome == StepOutcome::Done) {
-                thread.finished = true;
-                return;
-            }
-            continue;
-        }
-
-        const emu::Instruction& ins = thread.program->code[pc];
-        const emu::OpcodeInfo& info = emu::opcodeInfo(ins.op);
-
-        if (info.isTexture) {
-            // Build a quad texture request.
+        // Quad-lockstep execution: one dispatch per instruction
+        // for all live lanes.
+        const emu::DecodedIns& d =
+            thread.decoded->code[thread.lanes[ref].pc];
+        if (d.isTexture) {
             LinkTx& link = *_texReq[_tuNext % _texReq.size()];
             if (!link.canSend(cycle))
                 return; // No TU slot this cycle; retry.
-            auto req = makeTexRequest();
+            const auto qs = _emulator.stepQuad(
+                *thread.decoded, *thread.constants, thread.lanes,
+                thread.laneDone);
+            if (qs.outcome != StepOutcome::TexRequest)
+                panic("ShaderUnit", _unit,
+                      ": expected a texture request");
+            auto req = _texPool.acquire();
             req->shaderId = _unit;
             req->threadTag = thread.work->entryId;
             req->state = thread.work->state;
@@ -364,20 +282,13 @@ ShaderUnit::execute(Cycle cycle, Thread& thread)
             req->copyTrailFrom(*thread.work);
             for (u32 l = 0; l < 4; ++l) {
                 req->active[l] = !thread.laneDone[l];
-                if (thread.laneDone[l])
-                    continue;
-                const auto step = _emulator.step(
-                    *thread.program, *thread.constants,
-                    thread.lanes[l]);
-                if (step.outcome != StepOutcome::TexRequest)
-                    panic("ShaderUnit", _unit,
-                          ": expected a texture request");
-                req->textureUnit = step.texUnit;
-                req->target = step.texTarget;
-                req->coords[l] = step.texCoord;
-                req->lodBias = step.texLodBias;
-                req->projected = step.texProjected;
+                if (!thread.laneDone[l])
+                    req->coords[l] = qs.texCoords[l];
             }
+            req->textureUnit = qs.texUnit;
+            req->target = qs.texTarget;
+            req->lodBias = qs.texLodBias;
+            req->projected = qs.texProjected;
             link.send(cycle, req);
             _tuNext = (_tuNext + 1) %
                       std::max<std::size_t>(1, _texReq.size());
@@ -388,44 +299,20 @@ ShaderUnit::execute(Cycle cycle, Thread& thread)
             return;
         }
 
-        // Regular instruction: step every live lane in lockstep.
-        u32 latency = 1;
-        bool done = true;
-        for (u32 l = 0; l < 4; ++l) {
-            if (thread.laneDone[l])
-                continue;
-            const auto step = _emulator.step(*thread.program,
-                                             *thread.constants,
-                                             thread.lanes[l]);
-            latency = step.latency;
-            if (step.outcome == StepOutcome::Done) {
-                thread.laneDone[l] = true;
-            } else {
-                done = false;
-            }
-        }
+        const auto qs = _emulator.stepQuad(
+            *thread.decoded, *thread.constants, thread.lanes,
+            thread.laneDone);
         _statInstructions.inc();
-
-        if (info.hasDst && ins.dst.bank == emu::Bank::Temp)
-            thread.tempReady[ins.dst.index] = cycle + latency;
+        if (d.dstTempIndex >= 0) {
+            thread.tempReady[static_cast<u32>(d.dstTempIndex)] =
+                cycle + qs.latency;
+        }
         ++thread.epoch;
-
-        if (done) {
+        if (qs.outcome == StepOutcome::Done) {
             thread.finished = true;
             return;
         }
     }
-}
-
-TexRequestPtr
-ShaderUnit::makeTexRequest()
-{
-    // Pooled on the memory fast path (texture requests are the
-    // shader units' steady-state allocation); plain otherwise for
-    // A/B runs.  Timing is identical either way.
-    if (_config.memFastPath)
-        return _texPool.acquire();
-    return std::make_shared<TexRequest>();
 }
 
 void
@@ -457,8 +344,6 @@ ShaderUnit::update(Cycle cycle)
                 }
                 // Release references; the slot itself is recycled.
                 thread.work.reset();
-                thread.program.reset();
-                thread.pendingTex.reset();
                 thread.constants = nullptr;
                 thread.decoded = nullptr;
                 _freeThreads.push_back(_activeSlots[i]);

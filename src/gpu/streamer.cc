@@ -31,7 +31,6 @@ Streamer::Streamer(sim::SignalBinder& binder,
     _fromShading.init(*this, binder, "shading.streamer", 1, 1, 16);
     _toAssembly.init(*this, binder, "streamer.assembly", 1, 1,
                      config.primitiveAssemblyQueue);
-    _txns.setPooled(config.memFastPath);
     _mem.init(*this, binder, "mc.streamer",
               config.memoryRequestQueue);
 }

@@ -20,16 +20,12 @@ TextureUnit::TextureUnit(sim::SignalBinder& binder,
                              config.textureCacheWays,
                              config.textureCacheLine,
                              config.textureCachePorts,
-                             config.textureCacheMshr,
-                             config.memFastPath},
+                             config.textureCacheMshr},
              stat("cacheHits"), stat("cacheMisses")),
       _statRequests(stat("requests")),
       _statBilinearOps(stat("bilinearOps")),
       _statBusy(stat("busyCycles"))
 {
-    _statRequests.setImmediate(!config.memFastPath);
-    _statBilinearOps.setImmediate(!config.memFastPath);
-    _statBusy.setImmediate(!config.memFastPath);
     const std::string id = std::to_string(unit);
     for (u32 s = 0; s < config.numShaders; ++s) {
         auto rx = std::make_unique<LinkRx<TexRequest>>();
@@ -87,54 +83,26 @@ TextureUnit::planRequest(Active& active)
     TextureEmulator::quadFootprint(desc, coords, req.lodBias, aniso,
                                    lod, majorAxis);
 
+    // Collect every touched line, then sort + deduplicate into
+    // ascending unique order (the vector keeps its capacity across
+    // requests).
     active.bilinearOps = 0;
-    if (_config.memFastPath) {
-        // Collect into reused scratch, then sort + deduplicate:
-        // the same ascending unique order a std::set yields,
-        // without its per-node allocations.
-        _lineScratch.clear();
-        for (u32 l = 0; l < 4; ++l) {
-            active.plans[l] = TextureEmulator::planSample(
-                desc, coords[l], lod, aniso, majorAxis);
-            active.bilinearOps += active.plans[l].bilinearOps;
-            for (const emu::TexelRef& ref :
-                 active.plans[l].texels) {
-                _lineScratch.push_back(
-                    ref.address -
-                    ref.address % _config.textureCacheLine);
-                // Texels may straddle a line boundary (DXT
-                // blocks).
-                const u32 end = ref.address + ref.bytes - 1;
-                _lineScratch.push_back(
-                    end - end % _config.textureCacheLine);
-            }
-        }
-        std::sort(_lineScratch.begin(), _lineScratch.end());
-        _lineScratch.erase(std::unique(_lineScratch.begin(),
-                                       _lineScratch.end()),
-                           _lineScratch.end());
-        active.lineAddrs.assign(_lineScratch.begin(),
-                                _lineScratch.end());
-        return;
-    }
-
-    std::set<u32> lines;
+    std::vector<u32>& lines = active.lineAddrs;
+    lines.clear();
     for (u32 l = 0; l < 4; ++l) {
-        active.plans[l] =
-            TextureEmulator::planSample(desc, coords[l], lod, aniso,
-                                        majorAxis);
+        active.plans[l] = TextureEmulator::planSample(
+            desc, coords[l], lod, aniso, majorAxis);
         active.bilinearOps += active.plans[l].bilinearOps;
         for (const emu::TexelRef& ref : active.plans[l].texels) {
-            const u32 line =
-                ref.address -
-                ref.address % _config.textureCacheLine;
-            lines.insert(line);
+            lines.push_back(ref.address -
+                            ref.address % _config.textureCacheLine);
             // Texels may straddle a line boundary (DXT blocks).
             const u32 end = ref.address + ref.bytes - 1;
-            lines.insert(end - end % _config.textureCacheLine);
+            lines.push_back(end - end % _config.textureCacheLine);
         }
     }
-    active.lineAddrs.assign(lines.begin(), lines.end());
+    std::sort(lines.begin(), lines.end());
+    lines.erase(std::unique(lines.begin(), lines.end()), lines.end());
 }
 
 void
@@ -172,14 +140,12 @@ TextureUnit::process(Cycle cycle)
         const RenderState& state = *active.req->state;
         const emu::TextureDescriptor& desc =
             state.textures[active.req->textureUnit];
-        // Fast path: one decoded-block cache shared across the
-        // quad's four plans (pure memoization — identical texels).
+        // One decoded-block cache shared across the quad's four
+        // plans (pure memoization — identical texels).
         emu::TexBlockCache blockCache;
-        emu::TexBlockCache* cache =
-            _config.emuFastPath ? &blockCache : nullptr;
         for (u32 l = 0; l < 4; ++l) {
             active.req->texels[l] = TextureEmulator::executePlan(
-                desc, active.plans[l], _memory, cache);
+                desc, active.plans[l], _memory, &blockCache);
         }
         _statBilinearOps.inc(active.bilinearOps);
         active.filtering = true;

@@ -12,7 +12,6 @@
 #ifndef ATTILA_GPU_TEXTURE_UNIT_HH
 #define ATTILA_GPU_TEXTURE_UNIT_HH
 
-#include <set>
 
 #include "emu/texture_emulator.hh"
 #include "gpu/cache.hh"
@@ -81,9 +80,6 @@ class TextureUnit : public sim::Box
     bool _activeLive = false;
     sim::RingQueue<TexRequestPtr> _done; ///< Awaiting resp credit.
     u32 _rrNext = 0;
-    /** Reused line-collection scratch (sorted + deduplicated, same
-     * order a std::set yields). */
-    std::vector<u32> _lineScratch;
 
     sim::BatchedStat _statRequests;
     sim::BatchedStat _statBilinearOps;

@@ -185,7 +185,7 @@ class TexRequest : public sim::DynamicObject
     std::array<emu::Vec4, 4> texels{};
 
     /** Recycle hook for sim::ObjectPool: the shader units pool quad
-     * texture requests on the memory fast path. */
+     * texture requests. */
     void
     poolReset()
     {

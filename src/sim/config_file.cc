@@ -121,6 +121,39 @@ ConfigFile::setOverride(const std::string& assignment,
     set(key, value, origin);
 }
 
+std::vector<std::string>
+ConfigFile::splitAssignments(const std::string& list)
+{
+    constexpr auto npos = std::string::npos;
+    std::vector<std::string> out;
+    std::istringstream in(list);
+    std::string segment;
+    while (std::getline(in, segment, ';')) {
+        std::size_t begin = 0;
+        for (std::size_t comma = segment.find(','); comma != npos;
+             comma = segment.find(',', comma + 1)) {
+            // What follows the comma up to the next '=': a dotted key
+            // starts a new assignment, a blank tail ends the list.
+            const std::size_t eq = segment.find('=', comma);
+            const std::string next =
+                trim(segment.substr(comma + 1, eq - comma - 1));
+            const bool split =
+                eq == npos ? next.empty()
+                           : validKey(next) &&
+                                 next.find('.') != npos;
+            if (split) {
+                out.push_back(segment.substr(begin, comma - begin));
+                begin = comma + 1;
+            }
+        }
+        out.push_back(segment.substr(begin));
+    }
+    std::erase_if(out, [](const std::string& item) {
+        return trim(item).empty();
+    });
+    return out;
+}
+
 void
 ConfigFile::set(const std::string& key, const std::string& value,
                 const std::string& origin)

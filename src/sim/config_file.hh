@@ -73,6 +73,16 @@ class ConfigFile
     void setOverride(const std::string& assignment,
                      const std::string& origin);
 
+    /**
+     * Split a list of "section.key=value" assignments (the
+     * ATTILA_CONFIG_SET form).  ';' always separates; ',' separates
+     * only where another section.key= begins, so values that contain
+     * commas (cache geometries such as "32:128:4,A:8") stay whole.
+     * Blank items are dropped.
+     */
+    static std::vector<std::string> splitAssignments(
+        const std::string& list);
+
     /** Direct assignment of an already-split key/value pair. */
     void set(const std::string& key, const std::string& value,
              const std::string& origin);

@@ -295,11 +295,10 @@ TEST(GpuConfigText, ApplySetOverridesSingleKey)
 TEST(GpuConfigText, EnvLayerSitsBetweenFileAndSet)
 {
     // file sets 2 threads, env overrides to 3, --set wins with 4.
-    // The legacy vars sit in the same env layer and would clobber
-    // ATTILA_CONFIG_SET; clear them so the CI harness (which runs the
-    // whole suite under ATTILA_SCHED_THREADS=4) can't skew this test.
-    unsetenv("ATTILA_SCHEDULER");
-    unsetenv("ATTILA_SCHED_THREADS");
+    // Clear the environment a CI job may have exported for the whole
+    // suite so it can't skew this test.
+    unsetenv("ATTILA_CONFIG");
+    unsetenv("ATTILA_CONFIG_SET");
     GpuConfig c = GpuConfig::baseline();
     c.applyText("[engine]\nthreads = 2\n");
     ASSERT_EQ(setenv("ATTILA_CONFIG_SET", "engine.threads=3", 1), 0);
@@ -309,6 +308,69 @@ TEST(GpuConfigText, EnvLayerSitsBetweenFileAndSet)
     c.applySet("engine.threads=4");
     EXPECT_EQ(c.schedulerThreads, 4u);
     unsetenv("ATTILA_CONFIG_SET");
+}
+
+TEST(GpuConfigText, ConfigSetEnvSplitsCommasOnlyBeforeKeys)
+{
+    // A cache geometry carries its own comma; only a comma followed
+    // by another section.key= starts a new assignment.
+    unsetenv("ATTILA_CONFIG");
+    const char* list = "engine.threads=3,texture.cacheGeometry="
+                       "32:128:4,A:8;rop.zCacheGeometry=16:256:4,A:2,"
+                       " memory.frfcfsCap = 9,";
+    ASSERT_EQ(setenv("ATTILA_CONFIG_SET", list, 1), 0);
+    GpuConfig fromEnv = GpuConfig::baseline();
+    fromEnv.applyEnvOverrides();
+    unsetenv("ATTILA_CONFIG_SET");
+
+    GpuConfig fromSet = GpuConfig::baseline();
+    fromSet.applySet("engine.threads=3");
+    fromSet.applySet("texture.cacheGeometry=32:128:4,A:8");
+    fromSet.applySet("rop.zCacheGeometry=16:256:4,A:2");
+    fromSet.applySet("memory.frfcfsCap=9");
+    fromSet.envApplied = true;
+    EXPECT_EQ(fromEnv, fromSet);
+    EXPECT_EQ(fromEnv.textureCacheMshr, 8u);
+    EXPECT_EQ(fromEnv.zCacheMshr, 2u);
+    EXPECT_NE(fromEnv.configHash(), GpuConfig::baseline().configHash());
+}
+
+TEST(GpuConfigText, RetiredEnvVarsFailLoudly)
+{
+    unsetenv("ATTILA_CONFIG");
+    unsetenv("ATTILA_CONFIG_SET");
+    for (const char* name :
+         {"ATTILA_SCHEDULER", "ATTILA_SCHED_THREADS", "ATTILA_WORK_STEAL",
+          "ATTILA_IDLE_SKIP", "ATTILA_EVENT_TRACE", "ATTILA_EMU_FASTPATH",
+          "ATTILA_MEM_FASTPATH"}) {
+        ASSERT_EQ(setenv(name, "1", 1), 0);
+        GpuConfig c = GpuConfig::baseline();
+        const std::string msg = errorOf([&] { c.applyEnvOverrides(); });
+        unsetenv(name);
+        EXPECT_NE(msg.find(name), std::string::npos) << msg;
+        EXPECT_NE(msg.find("ATTILA_CONFIG_SET"), std::string::npos)
+            << msg;
+    }
+    // With only the supported variables set, nothing is rejected.
+    GpuConfig c = GpuConfig::baseline();
+    EXPECT_NO_THROW(c.applyEnvOverrides());
+}
+
+TEST(GpuConfigText, RetiredKeysAreUnknownWithLocation)
+{
+    for (const char* key : {"emuFastPath", "memFastPath"}) {
+        const std::string msg = errorOf([&] {
+            GpuConfig::fromConfigText(
+                std::string("[engine]\nidleSkip = true\n") + key +
+                    " = false\n",
+                "old.cfg");
+        });
+        EXPECT_NE(msg.find("old.cfg:3"), std::string::npos) << msg;
+        EXPECT_NE(msg.find(std::string("unknown GpuConfig key 'engine.") +
+                           key + "'"),
+                  std::string::npos)
+            << msg;
+    }
 }
 
 TEST(GpuConfigText, ShippedBaselineConfigMatchesCompiledDefaults)

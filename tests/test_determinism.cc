@@ -79,10 +79,8 @@ runWith(const gpu::CommandList& list, gpu::SchedulerKind kind,
 {
     // The test pins its own engines; neutralize the environment
     // overrides a CI job may have exported.
-    unsetenv("ATTILA_SCHEDULER");
-    unsetenv("ATTILA_SCHED_THREADS");
-    unsetenv("ATTILA_IDLE_SKIP");
-    unsetenv("ATTILA_WORK_STEAL");
+    unsetenv("ATTILA_CONFIG");
+    unsetenv("ATTILA_CONFIG_SET");
 
     gpu::GpuConfig config = gpu::GpuConfig::baseline();
     config.memorySize = 32u << 20;

@@ -36,9 +36,8 @@ u64
 drainCycle(const gpu::CommandList& list, u32 poll_interval,
            bool idle_skip = true)
 {
-    unsetenv("ATTILA_SCHEDULER");
-    unsetenv("ATTILA_SCHED_THREADS");
-    unsetenv("ATTILA_IDLE_SKIP");
+    unsetenv("ATTILA_CONFIG");
+    unsetenv("ATTILA_CONFIG_SET");
     gpu::GpuConfig config = gpu::GpuConfig::baseline();
     config.memorySize = 32u << 20;
     config.drainPollInterval = poll_interval;

@@ -342,8 +342,8 @@ std::pair<u64, u64>
 runBanked(const CommandList& list, DramSchedPolicy policy,
           SchedulerKind engine)
 {
-    unsetenv("ATTILA_SCHEDULER");
-    unsetenv("ATTILA_SCHED_THREADS");
+    unsetenv("ATTILA_CONFIG");
+    unsetenv("ATTILA_CONFIG_SET");
     GpuConfig config = GpuConfig::baseline();
     config.memorySize = 32u << 20;
     config.memModel = MemModel::Banked;

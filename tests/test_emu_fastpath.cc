@@ -1,30 +1,22 @@
 /**
  * @file
- * Fast-path identity tests: the pre-decoded scalar and quad-lockstep
- * interpreters must be bit-identical to the legacy per-lane
- * interpreter over the whole ISA (randomized programs covering every
- * opcode, including TEX/TXB/TXP and partial KIL masks), the decode
- * cache must reuse and invalidate entries by program identity, and
- * full workloads must render identical frames and count identical
- * cycles with the fast path on and off, under both schedulers.
+ * Quad-interpreter identity tests: the pre-decoded quad-lockstep
+ * interpreter the simulator runs must be bit-identical to the scalar
+ * reference interpreter over the whole ISA (randomized programs
+ * covering every opcode, including TEX/TXB/TXP and partial KIL
+ * masks), and the decode cache must reuse and invalidate entries by
+ * program identity.  Whole-workload identity is pinned by
+ * test_fingerprints.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
-#include <sstream>
 
 #include "emu/decoded_program.hh"
 #include "emu/shader_emulator.hh"
 #include "emu/shader_isa.hh"
-#include "gl/context.hh"
-#include "gpu/gpu.hh"
-#include "gpu/ref_renderer.hh"
-#include "workloads/cubes.hh"
-#include "workloads/shadows.hh"
-#include "workloads/terrain.hh"
 
 using namespace attila;
 using namespace attila::emu;
@@ -242,22 +234,13 @@ TEST(EmuFastPath, RandomProgramsScalarVsQuadBitIdentical)
         const std::array<ShaderThreadState, 4> quad =
             randomQuad(rng);
 
-        // Reference: the legacy per-lane interpreter.
+        // Reference: the scalar per-lane interpreter.
         std::array<ShaderThreadState, 4> scalarLanes = quad;
         std::array<bool, 4> scalarKilled{};
         for (u32 l = 0; l < 4; ++l) {
             scalarKilled[l] = !emulator.run(prog, constants,
                                             scalarLanes[l],
                                             &immediate);
-        }
-
-        // Pre-decoded scalar interpreter.
-        std::array<ShaderThreadState, 4> decodedLanes = quad;
-        for (u32 l = 0; l < 4; ++l) {
-            const bool alive = emulator.runDecoded(
-                decoded, constants, decodedLanes[l], &immediate);
-            EXPECT_EQ(alive, !scalarKilled[l])
-                << "seed " << seed << " lane " << l;
         }
 
         // Quad-lockstep interpreter.
@@ -268,13 +251,59 @@ TEST(EmuFastPath, RandomProgramsScalarVsQuadBitIdentical)
                          quadKilled, quadSampler);
 
         for (u32 l = 0; l < 4; ++l) {
-            expectLaneEqual(scalarLanes[l], decodedLanes[l], seed,
-                            l);
             expectLaneEqual(scalarLanes[l], quadLanes[l], seed, l);
             EXPECT_EQ(quadKilled[l], scalarKilled[l])
                 << "seed " << seed << " lane " << l;
             EXPECT_TRUE(laneDone[l])
                 << "seed " << seed << " lane " << l;
+        }
+    }
+}
+
+TEST(EmuFastPath, ConvergedPartialQuadsMatchScalar)
+{
+    // Texture- and KIL-free programs run the converged kernel, also
+    // with lanes already done on entry (a vertex is a quad with one
+    // live lane).  Live lanes must match the scalar interpreter and
+    // done lanes must come back untouched.
+    ShaderEmulator emulator;
+    auto noTexture = [](u32, TexTarget, const std::array<Vec4, 4>&,
+                        u8, f32, bool) -> std::array<Vec4, 4> {
+        ADD_FAILURE() << "texture fetch in an ALU-only program";
+        return {};
+    };
+    const QuadSampler sampler = noTexture;
+
+    for (u32 seed = 0; seed < 16; ++seed) {
+        Lcg rng(seed + 1000);
+        ShaderProgram prog = makeRandomProgram(rng);
+        std::erase_if(prog.code, [](const Instruction& ins) {
+            return opcodeInfo(ins.op).isTexture ||
+                   ins.op == Opcode::KIL;
+        });
+        analyzeProgram(prog);
+        const ConstantBank constants =
+            ShaderEmulator::makeConstants(prog);
+        const DecodedProgram decoded = DecodedProgram::decode(prog);
+        ASSERT_FALSE(decoded.hasTexture || decoded.hasKil);
+        const std::array<ShaderThreadState, 4> quad = randomQuad(rng);
+
+        for (const u32 liveMask : {0x1u, 0x6u, 0x8u, 0xfu}) {
+            std::array<ShaderThreadState, 4> lanes = quad;
+            std::array<bool, 4> laneDone{};
+            for (u32 l = 0; l < 4; ++l)
+                laneDone[l] = !(liveMask & (1u << l));
+            std::array<bool, 4> killed{};
+            emulator.runQuad(decoded, constants, lanes, laneDone,
+                             killed, sampler);
+            for (u32 l = 0; l < 4; ++l) {
+                ShaderThreadState expected = quad[l];
+                if (liveMask & (1u << l))
+                    emulator.run(prog, constants, expected);
+                expectLaneEqual(expected, lanes[l], seed, l);
+                EXPECT_TRUE(laneDone[l]);
+                EXPECT_FALSE(killed[l]);
+            }
         }
     }
 }
@@ -316,152 +345,6 @@ TEST(EmuFastPath, DecodeCacheReusesAndInvalidatesByIdentity)
     // stability): the reference still reads valid decoded state.
     EXPECT_EQ(&cache.get(first), &decodedFirst);
     EXPECT_EQ(decodedFirst.code.back().op, Opcode::END);
-}
-
-// ---- Workload-level on/off identity ------------------------------
-
-gpu::CommandList
-buildCommands(workloads::Workload& workload,
-              const workloads::WorkloadParams& params)
-{
-    gl::Context ctx(params.width, params.height, 32u << 20);
-    workload.setup(ctx);
-    for (u32 f = 0; f < params.frames; ++f)
-        workload.renderFrame(ctx, f);
-    return ctx.takeCommands();
-}
-
-workloads::WorkloadParams
-smallParams()
-{
-    workloads::WorkloadParams params;
-    params.width = 96;
-    params.height = 96;
-    params.frames = 1;
-    params.textureSize = 32;
-    params.detail = 4;
-    return params;
-}
-
-u64
-framebufferHash(const gpu::Gpu& gpu)
-{
-    u64 h = 14695981039346656037ull;
-    for (const gpu::FrameImage& frame : gpu.frames()) {
-        for (u32 px : frame.pixels) {
-            h ^= px;
-            h *= 1099511628211ull;
-        }
-    }
-    return h;
-}
-
-struct RunFingerprint
-{
-    u64 cycles = 0;
-    u64 fbHash = 0;
-    std::size_t frames = 0;
-    std::string totalsCsv;
-};
-
-RunFingerprint
-runGpu(const gpu::CommandList& list, bool fastPath,
-       gpu::SchedulerKind kind, u32 threads)
-{
-    unsetenv("ATTILA_EMU_FASTPATH");
-    gpu::GpuConfig config = gpu::GpuConfig::baseline();
-    config.memorySize = 32u << 20;
-    config.emuFastPath = fastPath;
-    config.scheduler = kind;
-    config.schedulerThreads = threads;
-
-    gpu::Gpu gpu(config);
-    gpu.submit(list);
-    EXPECT_TRUE(gpu.runUntilIdle(200'000'000))
-        << "pipeline did not drain";
-
-    RunFingerprint fp;
-    fp.cycles = gpu.cycle();
-    fp.fbHash = framebufferHash(gpu);
-    fp.frames = gpu.frames().size();
-    std::ostringstream totals;
-    gpu.stats().writeTotalsCsv(totals);
-    fp.totalsCsv = totals.str();
-    return fp;
-}
-
-void
-expectOnOffIdentical(workloads::Workload& workload,
-                     const workloads::WorkloadParams& params,
-                     const char* label)
-{
-    const gpu::CommandList list = buildCommands(workload, params);
-
-    const RunFingerprint on =
-        runGpu(list, true, gpu::SchedulerKind::Serial, 0);
-    const RunFingerprint off =
-        runGpu(list, false, gpu::SchedulerKind::Serial, 0);
-    ASSERT_GT(on.cycles, 0u) << label;
-    EXPECT_EQ(on.cycles, off.cycles) << label;
-    EXPECT_EQ(on.frames, off.frames) << label;
-    EXPECT_EQ(on.fbHash, off.fbHash) << label;
-    EXPECT_EQ(on.totalsCsv, off.totalsCsv) << label;
-
-    // The reference renderer also honors the toggle.
-    gpu::RefRenderer refOn(32u << 20);
-    refOn.setFastPath(true);
-    refOn.execute(list);
-    gpu::RefRenderer refOff(32u << 20);
-    refOff.setFastPath(false);
-    refOff.execute(list);
-    ASSERT_EQ(refOn.frames().size(), params.frames) << label;
-    for (u32 f = 0; f < params.frames; ++f) {
-        EXPECT_EQ(refOn.frames()[f].diffCount(refOff.frames()[f]),
-                  0u)
-            << label << " frame " << f;
-    }
-}
-
-TEST(EmuFastPath, TerrainOnOffIdentical)
-{
-    workloads::WorkloadParams params = smallParams();
-    workloads::TerrainWorkload workload(params);
-    expectOnOffIdentical(workload, params, "terrain");
-}
-
-TEST(EmuFastPath, ShadowsOnOffIdentical)
-{
-    workloads::WorkloadParams params = smallParams();
-    workloads::ShadowsWorkload workload(params);
-    expectOnOffIdentical(workload, params, "shadows");
-}
-
-TEST(EmuFastPath, CubesOnOffIdentical)
-{
-    workloads::WorkloadParams params = smallParams();
-    workloads::CubesWorkload workload(params);
-    expectOnOffIdentical(workload, params, "cubes");
-}
-
-TEST(EmuFastPath, ParallelSchedulerOnOffIdentical)
-{
-    workloads::WorkloadParams params = smallParams();
-    workloads::TerrainWorkload workload(params);
-    const gpu::CommandList list = buildCommands(workload, params);
-
-    const RunFingerprint serialOn =
-        runGpu(list, true, gpu::SchedulerKind::Serial, 0);
-    const RunFingerprint parOn =
-        runGpu(list, true, gpu::SchedulerKind::Parallel, 2);
-    const RunFingerprint parOff =
-        runGpu(list, false, gpu::SchedulerKind::Parallel, 2);
-
-    EXPECT_EQ(parOn.cycles, serialOn.cycles);
-    EXPECT_EQ(parOn.fbHash, serialOn.fbHash);
-    EXPECT_EQ(parOn.totalsCsv, serialOn.totalsCsv);
-    EXPECT_EQ(parOn.cycles, parOff.cycles);
-    EXPECT_EQ(parOn.fbHash, parOff.fbHash);
-    EXPECT_EQ(parOn.totalsCsv, parOff.totalsCsv);
 }
 
 } // anonymous namespace
