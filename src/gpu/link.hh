@@ -9,6 +9,12 @@
  * pops an entry.  Data latency and bandwidth are modelled by the
  * forward signal; credits return with a one-cycle latency.
  *
+ * The feedback signal "<name>.credit" is a token wire (see
+ * sim/signal.hh): a credit is a counted token, not an object, so
+ * returning one allocates nothing.  It is still one signal write for
+ * the bandwidth and data-loss checks, the per-signal write statistic
+ * and both traces.
+ *
  * The invariant (in-flight objects + queued objects <= capacity)
  * guarantees the consumer queue can never overflow, and the signal
  * layer's own verification catches any bug violating it.
@@ -19,7 +25,6 @@
 
 #include "gpu/work_objects.hh"
 #include "sim/box.hh"
-#include "sim/object_pool.hh"
 #include "sim/ring_queue.hh"
 
 namespace attila::gpu
@@ -44,7 +49,7 @@ class LinkTx
                                       bandwidth, latency);
         _credit = binder.registerSignal(&box, name + ".credit",
                                         sim::Direction::In, capacity,
-                                        1);
+                                        1, sim::SignalKind::Token);
         _credits = capacity;
     }
 
@@ -52,8 +57,7 @@ class LinkTx
     void
     clock(Cycle cycle)
     {
-        while (_credit->read(cycle))
-            ++_credits;
+        _credits += _credit->readTokens(cycle);
     }
 
     /** True when a send this cycle is within credits and signal
@@ -111,7 +115,7 @@ class LinkRx
                                       bandwidth, latency);
         _credit = binder.registerSignal(&box, name + ".credit",
                                         sim::Direction::Out, capacity,
-                                        1);
+                                        1, sim::SignalKind::Token);
         _capacity = capacity;
     }
 
@@ -139,7 +143,7 @@ class LinkRx
     pop(Cycle cycle)
     {
         auto obj = _queue.pop_front();
-        _credit->write(cycle, _pool.acquire());
+        _credit->writeToken(cycle);
         return obj;
     }
 
@@ -150,7 +154,6 @@ class LinkRx
     sim::Signal* _credit = nullptr;
     sim::RingQueue<std::shared_ptr<T>> _queue;
     u32 _capacity = 0;
-    sim::ObjectPool<CreditObj> _pool;
 };
 
 } // namespace attila::gpu

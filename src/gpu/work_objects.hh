@@ -245,11 +245,6 @@ class RetireObj : public sim::DynamicObject
     u32 unit = 0;
 };
 
-/** Generic single-credit token for flow-control links. */
-class CreditObj : public sim::DynamicObject
-{
-};
-
 } // namespace attila::gpu
 
 #endif // ATTILA_GPU_WORK_OBJECTS_HH

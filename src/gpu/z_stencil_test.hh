@@ -31,6 +31,7 @@
 #include "gpu/link.hh"
 #include "sim/box.hh"
 #include "sim/function_ref.hh"
+#include "sim/object_pool.hh"
 #include "sim/ring_queue.hh"
 
 namespace attila::gpu

@@ -23,11 +23,34 @@
  * The scheduler (see sim/scheduler.hh) runs phase A for every box of
  * a domain, then phase B for every box.  clock() bundles both phases
  * for single-box harnesses and tests.
+ *
+ * Two per-box words make the per-cycle framework cost follow the
+ * traffic rather than the wiring.  Both are maintained by the box's
+ * signals, which the SignalBinder wires to the box at registration:
+ *
+ *  - the dirty-output mask: staging a write sets the output's bit
+ *    (its registration index; outputs past the 63rd share bit 63), so
+ *    propagate() commits only the outputs written this cycle, lowest
+ *    index first — the same order as committing every output;
+ *  - the live-input counter: objects and tokens committed into the
+ *    box's inputs and not yet read, so idleAt() is one load.
+ *
+ * Threading: the mask is touched only in this box's phase A and
+ * phase B, which the scheduler orders (same thread, or the
+ * partition's release/acquire update counter).  The live-input
+ * counter is a relaxed atomic for the same reason a signal's
+ * counters are: under the partitioned engine a writer's phase-B
+ * commit on one thread can overlap this box's phase-A reads on
+ * another.  The
+ * scheduler reads it in its skip pass, on the simulator thread,
+ * before any worker is dispatched.
  */
 
 #ifndef ATTILA_SIM_BOX_HH
 #define ATTILA_SIM_BOX_HH
 
+#include <atomic>
+#include <bit>
 #include <string>
 #include <vector>
 
@@ -67,17 +90,30 @@ class Box
     virtual void update(Cycle cycle) = 0;
 
     /**
-     * Phase B: publish the output writes staged during update().
-     * The default commits every output signal registered by this
-     * box; boxes with extra end-of-cycle bookkeeping may override
-     * (and must call the base).
+     * Phase B: publish the output writes staged during update(),
+     * committing only the outputs whose dirty bit is set, lowest
+     * registration index first.  Bit 63 stands for every output from
+     * index 63 on; those are committed in index order when written.
      */
-    virtual void
+    void
     propagate(Cycle cycle)
     {
         (void)cycle;
-        for (Signal* signal : _outputSignals)
-            signal->commit();
+        u64 dirty = _dirtyOutputs;
+        _dirtyOutputs = 0;
+        while (dirty != 0) {
+            const u32 bit = static_cast<u32>(std::countr_zero(dirty));
+            dirty &= dirty - 1;
+            if (bit < kSharedDirtyBit) [[likely]] {
+                _outputSignals[bit]->commit();
+                continue;
+            }
+            for (std::size_t i = kSharedDirtyBit;
+                 i < _outputSignals.size(); ++i) {
+                if (_outputSignals[i]->pendingWrites() != 0)
+                    _outputSignals[i]->commit();
+            }
+        }
     }
 
     /** Run both phases; for single-box harnesses and tests. */
@@ -133,8 +169,8 @@ class Box
 
     /**
      * True when the scheduler may skip this box at @p cycle: not
-     * busy, no wakeup due, and no object in flight on any input
-     * signal.  An object is counted from the moment its writer
+     * busy, no wakeup due, and no object or token in flight on any
+     * input signal.  An object is counted from the moment its writer
      * commits until it is read, so a sleeping consumer is clocked
      * throughout the delivery window and can never miss an arrival
      * (which would otherwise trip the signal's data-loss check).
@@ -146,11 +182,18 @@ class Box
             return false;
         if (cycle >= _nextWake)
             return false;
-        for (const Signal* signal : _inputSignals) {
-            if (!signal->fastEmpty())
-                return false;
-        }
-        return true;
+        return liveInputs() == 0;
+    }
+
+    /**
+     * Objects and tokens committed into this box's inputs and not
+     * yet read: the sum of fastEmpty()'s counters over
+     * inputSignals(), kept as one counter.
+     */
+    u64
+    liveInputs() const
+    {
+        return _liveInputs.load(std::memory_order_relaxed);
     }
 
     /**
@@ -258,6 +301,9 @@ class Box
     }
 
   protected:
+    /** Outputs from this registration index on share one dirty bit. */
+    static constexpr u32 kSharedDirtyBit = 63;
+
     /** Register an input signal of this box. */
     Signal*
     input(const std::string& signal_name, u32 bandwidth, u32 latency)
@@ -310,6 +356,11 @@ class Box
     std::string _name;
     std::vector<Signal*> _outputSignals;
     std::vector<Signal*> _inputSignals;
+    /** Bit i: output i (i < 63) has staged writes; bit 63: some
+     * output with index >= 63 has. */
+    u64 _dirtyOutputs = 0;
+    /** See liveInputs() and the file comment. */
+    std::atomic<u64> _liveInputs{0};
     Cycle _nextWake = NoWake;
     bool _skipped = false;
     EventTrace* _eventTrace = nullptr;

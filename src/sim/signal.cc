@@ -8,8 +8,10 @@
 namespace attila::sim
 {
 
-Signal::Signal(std::string name, u32 bandwidth, u32 latency)
-    : _name(std::move(name)), _bandwidth(bandwidth), _latency(latency)
+Signal::Signal(std::string name, u32 bandwidth, u32 latency,
+               SignalKind kind)
+    : _name(std::move(name)), _bandwidth(bandwidth), _latency(latency),
+      _kind(kind)
 {
     if (_bandwidth < 1)
         fatal("signal '", _name, "': bandwidth must be >= 1");
@@ -26,44 +28,70 @@ Signal::Signal(std::string name, u32 bandwidth, u32 latency)
         slots <<= 1;
     _slots.resize(slots);
     _slotMask = slots - 1;
-    for (auto& slot : _slots)
-        slot.objects.reserve(_bandwidth);
+    if (_kind == SignalKind::Object) {
+        for (auto& slot : _slots)
+            slot.objects.reserve(_bandwidth);
+    }
 }
 
-Signal::Slot&
-Signal::slotFor(Cycle arrival)
+void
+Signal::bandwidthExceeded(Cycle cycle) const
 {
-    return _slots[arrival & _slotMask];
+    panic("signal '", _name, "': bandwidth exceeded at cycle ", cycle,
+          " (bandwidth ", _bandwidth, ")");
 }
 
-const Signal::Slot&
-Signal::slotFor(Cycle arrival) const
+void
+Signal::wrongKind(const char* op) const
 {
-    return _slots[arrival & _slotMask];
+    panic("signal '", _name, "': ", op, "() on a ",
+          signalKindName(_kind), " wire");
+}
+
+u32
+Signal::stagedAt(Cycle cycle) const
+{
+    // All staged writes belong to the current cycle (commit runs
+    // every cycle), but count per-cycle anyway so direct harness use
+    // stays well-defined.
+    u32 sameCycle = 0;
+    if (_kind == SignalKind::Token) {
+        for (const PendingTokens& p : _pendingTokens) {
+            if (p.cycle == cycle)
+                sameCycle += p.count;
+        }
+    } else {
+        for (const PendingWrite& p : _pending) {
+            if (p.cycle == cycle)
+                ++sameCycle;
+        }
+    }
+    return sameCycle;
+}
+
+void
+Signal::stage(Cycle cycle)
+{
+    // Bandwidth is a per-cycle property of the wire, so it is checked
+    // at write time even though publication is deferred.
+    if (stagedAt(cycle) >= _bandwidth)
+        bandwidthExceeded(cycle);
+    ++_staged;
+    if (_writerDirty)
+        *_writerDirty |= _dirtyBit;
 }
 
 void
 Signal::write(Cycle cycle, DynamicObjectPtr obj)
 {
+    if (_kind != SignalKind::Object)
+        wrongKind("write");
     if (!obj)
         panic("signal '", _name, "': writing null object at cycle ",
               cycle);
 
     if (_buffered) {
-        // Bandwidth is a per-cycle property of the wire, so it is
-        // checked at write time even though publication is deferred.
-        // All staged writes belong to the current cycle (commit runs
-        // every cycle), but count per-cycle anyway so direct harness
-        // use stays well-defined.
-        u32 sameCycle = 0;
-        for (const PendingWrite& p : _pending) {
-            if (p.cycle == cycle)
-                ++sameCycle;
-        }
-        if (sameCycle >= _bandwidth) {
-            panic("signal '", _name, "': bandwidth exceeded at cycle ",
-                  cycle, " (bandwidth ", _bandwidth, ")");
-        }
+        stage(cycle);
         _pending.push_back({cycle, std::move(obj)});
         return;
     }
@@ -72,18 +100,36 @@ Signal::write(Cycle cycle, DynamicObjectPtr obj)
 }
 
 void
-Signal::publish(Cycle cycle, DynamicObjectPtr obj)
+Signal::writeToken(Cycle cycle)
 {
-    const Cycle arrival = cycle + _latency;
-    Slot& slot = slotFor(arrival);
+    if (_kind != SignalKind::Token)
+        wrongKind("writeToken");
 
-    if (!slot.objects.empty() && slot.arrival != arrival) {
-        // The slot still holds objects from a previous lap of the
-        // ring.  They arrived at their reader's cycle and were never
-        // read: modelled data was lost.
-        if (!slot.drained()) {
-            panic("signal '", _name, "': data loss — ",
-                  slot.objects.size() - slot.readIndex,
+    if (_buffered) {
+        stage(cycle);
+        if (!_pendingTokens.empty() &&
+            _pendingTokens.back().cycle == cycle) {
+            ++_pendingTokens.back().count;
+        } else {
+            _pendingTokens.push_back({cycle, 1});
+        }
+        return;
+    }
+
+    publishTokens(cycle, 1);
+}
+
+void
+Signal::claimSlot(Slot& slot, Cycle arrival, Cycle cycle)
+{
+    const u32 writes = slotWrites(slot);
+    if (writes != 0 && slot.arrival != arrival) {
+        // The slot still holds data from a previous lap of the ring.
+        // It arrived at its reader's cycle and was never read:
+        // modelled data was lost.
+        const u32 unread = writes - slot.readIndex;
+        if (unread != 0) {
+            panic("signal '", _name, "': data loss — ", unread,
                   " object(s) that arrived at cycle ", slot.arrival,
                   " were never read (write at cycle ", cycle, ")");
         }
@@ -91,15 +137,30 @@ Signal::publish(Cycle cycle, DynamicObjectPtr obj)
         slot.readIndex = 0;
     }
 
-    if (slot.objects.empty()) {
+    if (slotWrites(slot) == 0) {
         slot.arrival = arrival;
         slot.readIndex = 0;
     }
+}
 
-    if (slot.objects.size() >= _bandwidth) {
-        panic("signal '", _name, "': bandwidth exceeded at cycle ",
-              cycle, " (bandwidth ", _bandwidth, ")");
-    }
+void
+Signal::published(u32 n)
+{
+    bump(_totalWrites, n);
+    if (_readerLive)
+        _readerLive->fetch_add(n, std::memory_order_relaxed);
+    if (_writeStat)
+        _writeStat->inc(n);
+}
+
+void
+Signal::publish(Cycle cycle, DynamicObjectPtr obj)
+{
+    const Cycle arrival = cycle + _latency;
+    Slot& slot = _slots[arrival & _slotMask];
+    claimSlot(slot, arrival, cycle);
+    if (slot.objects.size() >= _bandwidth)
+        bandwidthExceeded(cycle);
 
     if (_tracer)
         _tracer->record(cycle, _name, *obj);
@@ -113,18 +174,48 @@ Signal::publish(Cycle cycle, DynamicObjectPtr obj)
     }
 
     slot.objects.push_back(std::move(obj));
-    _live.fetch_add(1, std::memory_order_relaxed);
-    ++_totalWrites;
-    if (_writeStat)
-        _writeStat->inc();
+    published(1);
+}
+
+void
+Signal::publishTokens(Cycle cycle, u32 count)
+{
+    const Cycle arrival = cycle + _latency;
+    Slot& slot = _slots[arrival & _slotMask];
+    claimSlot(slot, arrival, cycle);
+    if (slot.tokens + count > _bandwidth)
+        bandwidthExceeded(cycle);
+
+    // One trace record and one event per token, exactly as if each
+    // had been an object of its own.
+    for (u32 i = 0; i < count; ++i) {
+        if (_tracer)
+            _tracer->recordToken(cycle, _name);
+        if constexpr (kEventTraceCompiled) {
+            if (_eventTrace) [[unlikely]] {
+                _eventTrace->emit(EventKind::SignalWrite, cycle,
+                                  _eventTraceId);
+            }
+        }
+    }
+
+    slot.tokens += count;
+    published(count);
 }
 
 void
 Signal::commitPending()
 {
-    for (PendingWrite& p : _pending)
-        publish(p.cycle, std::move(p.obj));
-    _pending.clear();
+    if (_kind == SignalKind::Token) {
+        for (const PendingTokens& p : _pendingTokens)
+            publishTokens(p.cycle, p.count);
+        _pendingTokens.clear();
+    } else {
+        for (PendingWrite& p : _pending)
+            publish(p.cycle, std::move(p.obj));
+        _pending.clear();
+    }
+    _staged = 0;
 }
 
 void
@@ -138,18 +229,13 @@ Signal::setBuffered(bool buffered)
 bool
 Signal::canWriteBuffered(Cycle cycle) const
 {
-    u32 sameCycle = 0;
-    for (const PendingWrite& p : _pending) {
-        if (p.cycle == cycle)
-            ++sameCycle;
-    }
-    return sameCycle < _bandwidth;
+    return stagedAt(cycle) < _bandwidth;
 }
 
 u64
 Signal::inFlight() const
 {
-    return _pending.size() + _live.load(std::memory_order_relaxed);
+    return _staged + live();
 }
 
 } // namespace attila::sim

@@ -1,5 +1,7 @@
 #include "sim/signal_binder.hh"
 
+#include <algorithm>
+
 #include "sim/box.hh"
 #include "sim/event_trace.hh"
 #include "sim/logging.hh"
@@ -10,7 +12,8 @@ namespace attila::sim
 
 Signal*
 SignalBinder::registerSignal(Box* box, const std::string& name,
-                             Direction dir, u32 bandwidth, u32 latency)
+                             Direction dir, u32 bandwidth, u32 latency,
+                             SignalKind kind)
 {
     if (!box)
         panic("signal '", name, "': registered without a box");
@@ -19,7 +22,7 @@ SignalBinder::registerSignal(Box* box, const std::string& name,
     if (it == _entries.end()) {
         Entry entry;
         entry.signal = std::make_unique<Signal>(name, bandwidth,
-                                                latency);
+                                                latency, kind);
         if (_tracer)
             entry.signal->setTracer(_tracer);
         if (_eventTrace) {
@@ -42,6 +45,12 @@ SignalBinder::registerSignal(Box* box, const std::string& name,
                   " with bandwidth ", sig->bandwidth(), " latency ",
                   sig->latency());
         }
+        if (sig->kind() != kind) {
+            fatal("signal '", name, "': interface mismatch — box '",
+                  box->name(), "' registered a ", signalKindName(kind),
+                  " wire but the signal was created as a ",
+                  signalKindName(sig->kind()), " wire");
+        }
     }
 
     Entry& entry = it->second;
@@ -52,6 +61,11 @@ SignalBinder::registerSignal(Box* box, const std::string& name,
                   "' registered as writer");
         }
         entry.writer = box;
+        const std::size_t index = box->_outputSignals.size();
+        entry.signal->bindWriterDirty(
+            &box->_dirtyOutputs,
+            u64{1} << std::min<std::size_t>(index,
+                                            Box::kSharedDirtyBit));
         box->_outputSignals.push_back(entry.signal.get());
     } else {
         if (entry.reader) {
@@ -60,6 +74,7 @@ SignalBinder::registerSignal(Box* box, const std::string& name,
                   "' registered as reader");
         }
         entry.reader = box;
+        entry.signal->bindReaderLive(&box->_liveInputs);
         box->_inputSignals.push_back(entry.signal.get());
     }
     return entry.signal.get();

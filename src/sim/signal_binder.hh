@@ -5,10 +5,13 @@
  *
  * A signal is registered twice — once by its writer (Direction::Out)
  * and once by its reader (Direction::In) — under the same unique
- * name.  The binder checks that both registrations agree on bandwidth
- * and latency, which is how the model guarantees that two boxes agree
- * on their interface.  A box can then be swapped for an alternative
- * implementation as long as it registers the same signals.
+ * name.  The binder checks that both registrations agree on bandwidth,
+ * latency and kind (object or token wire), which is how the model
+ * guarantees that two boxes agree on their interface.  A box can then
+ * be swapped for an alternative implementation as long as it
+ * registers the same signals.  The binder also wires each signal to
+ * its writer box's dirty-output mask and to its reader box's
+ * live-input counter (see sim/box.hh).
  *
  * Unlike the paper's static class, each Simulator owns its own binder
  * so that multiple GPUs can be simulated in one process (e.g. in the
@@ -43,11 +46,12 @@ class SignalBinder
     /**
      * Register one end of the signal @p name for @p box.  The first
      * registration creates the signal; the second must match
-     * bandwidth and latency and take the opposite direction.
+     * bandwidth, latency and kind and take the opposite direction.
      * Returns the shared Signal.
      */
     Signal* registerSignal(Box* box, const std::string& name,
-                           Direction dir, u32 bandwidth, u32 latency);
+                           Direction dir, u32 bandwidth, u32 latency,
+                           SignalKind kind = SignalKind::Object);
 
     /** Look a signal up by name; nullptr when absent. */
     Signal* find(const std::string& name) const;

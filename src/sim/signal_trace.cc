@@ -129,6 +129,16 @@ SignalTraceWriter::record(Cycle cycle, const std::string& signal_name,
 }
 
 void
+SignalTraceWriter::recordToken(Cycle cycle,
+                               const std::string& signal_name)
+{
+    std::lock_guard<std::mutex> lock(_mutex);
+    _out << cycle << '|' << escapeField(signal_name) << '|'
+         << kTokenTraceId << "||0|\n";
+    ++_records;
+}
+
+void
 SignalTraceWriter::flush()
 {
     std::lock_guard<std::mutex> lock(_mutex);

@@ -4,9 +4,11 @@
  *
  * When enabled, every object written into a traced signal emits one
  * record: cycle, signal name, object id, cookie trail, color and info
- * string.  The SignalTraceReader parses the file back and computes
- * per-signal occupancy, which the visualizer example renders as an
- * ASCII timeline for performance debugging.
+ * string.  Every token written into a token wire (link credits)
+ * emits one record too, with kTokenTraceId as its object id, an empty
+ * trail, color 0 and empty info.  The SignalTraceReader parses the
+ * file back and computes per-signal occupancy, which the visualizer
+ * example renders as an ASCII timeline for performance debugging.
  */
 
 #ifndef ATTILA_SIM_SIGNAL_TRACE_HH
@@ -24,6 +26,9 @@
 namespace attila::sim
 {
 
+/** Object id field of a token record (tokens have no identity). */
+inline constexpr u64 kTokenTraceId = ~u64{0};
+
 /** Streams signal activity records to a trace file. */
 class SignalTraceWriter
 {
@@ -40,6 +45,9 @@ class SignalTraceWriter
      */
     void record(Cycle cycle, const std::string& signal_name,
                 const DynamicObject& obj);
+
+    /** Record one token entering the token wire @p signal_name. */
+    void recordToken(Cycle cycle, const std::string& signal_name);
 
     /** Flush buffered records to disk. */
     void flush();

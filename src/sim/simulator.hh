@@ -283,11 +283,29 @@ class Simulator
      * True when every box is empty *and* no signal holds in-flight
      * objects: the model is fully drained.  O(boxes + signals); poll
      * sparingly.
+     *
+     * Drain conservation check: a drained model must also leave
+     * every box's live-input counter at 0, since each counter is the
+     * sum of its input wires' live counts.  A nonzero counter means
+     * the idle-skip bookkeeping leaked; throws SimError naming the
+     * box and the count.
      */
     bool
     quiescent() const
     {
-        return allEmpty() && _binder.totalInFlight() == 0;
+        if (!allEmpty() || _binder.totalInFlight() != 0)
+            return false;
+        for (const auto& d : _domains) {
+            for (const Box* box : d->boxes()) {
+                if (box->liveInputs() != 0) {
+                    panic("drain check: box '", box->name(),
+                          "' still counts ", box->liveInputs(),
+                          " live input(s) although every box is empty",
+                          " and no signal holds data");
+                }
+            }
+        }
+        return true;
     }
 
   private:

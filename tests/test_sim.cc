@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "sim/box.hh"
+#include "sim/event_trace.hh"
 #include "sim/logging.hh"
 #include "sim/object_pool.hh"
 #include "sim/signal.hh"
@@ -516,6 +517,235 @@ TEST(SignalBuffered, InFlightCountsSlotsAndPending)
     EXPECT_EQ(sig.inFlight(), 1u); // Travelling.
     ASSERT_NE(sig.read(4), nullptr);
     EXPECT_EQ(sig.inFlight(), 0u);
+}
+
+// ===== Token wires ================================================
+
+TEST(SignalToken, DeliversAfterLatencyImmediate)
+{
+    Signal sig("c", 4, 3, SignalKind::Token);
+    sig.writeToken(10);
+    sig.writeToken(10);
+    EXPECT_EQ(sig.readTokens(11), 0u);
+    EXPECT_EQ(sig.readTokens(12), 0u);
+    EXPECT_EQ(sig.pendingAt(13), 2u);
+    EXPECT_EQ(sig.readTokens(13), 2u);
+    // Nothing left afterwards.
+    EXPECT_EQ(sig.readTokens(13), 0u);
+    EXPECT_EQ(sig.totalWrites(), 2u);
+    EXPECT_EQ(sig.totalReads(), 2u);
+}
+
+TEST(SignalToken, DeliversAfterLatencyBuffered)
+{
+    Signal sig("c", 4, 2, SignalKind::Token);
+    sig.setBuffered(true);
+    sig.writeToken(5);
+    sig.writeToken(5);
+    sig.writeToken(5);
+    EXPECT_EQ(sig.pendingWrites(), 3u);
+    // Not yet published: the reader must not see them.
+    EXPECT_EQ(sig.readTokens(7), 0u);
+    sig.commit();
+    EXPECT_EQ(sig.pendingWrites(), 0u);
+    EXPECT_EQ(sig.readTokens(6), 0u);
+    EXPECT_EQ(sig.readTokens(7), 3u);
+    EXPECT_EQ(sig.readTokens(7), 0u);
+}
+
+TEST(SignalToken, CanWriteCountsStagedTokens)
+{
+    Signal sig("c", 2, 1, SignalKind::Token);
+    sig.setBuffered(true);
+    EXPECT_TRUE(sig.canWrite(0));
+    sig.writeToken(0);
+    EXPECT_TRUE(sig.canWrite(0));
+    sig.writeToken(0);
+    EXPECT_FALSE(sig.canWrite(0));
+    EXPECT_TRUE(sig.canWrite(1));
+}
+
+TEST(SignalToken, BandwidthDiagnosticMatchesObjectMode)
+{
+    const std::string objects = simErrorMessage([] {
+        Signal sig("s", 2, 1);
+        sig.write(7, makeObj());
+        sig.write(7, makeObj());
+        sig.write(7, makeObj());
+    });
+    const std::string immediate = simErrorMessage([] {
+        Signal sig("s", 2, 1, SignalKind::Token);
+        sig.writeToken(7);
+        sig.writeToken(7);
+        sig.writeToken(7);
+    });
+    const std::string buffered = simErrorMessage([] {
+        Signal sig("s", 2, 1, SignalKind::Token);
+        sig.setBuffered(true);
+        sig.writeToken(7);
+        sig.writeToken(7);
+        sig.writeToken(7);
+    });
+    EXPECT_FALSE(objects.empty());
+    EXPECT_EQ(objects, immediate);
+    EXPECT_EQ(objects, buffered);
+}
+
+TEST(SignalToken, DataLossDiagnosticMatchesObjectMode)
+{
+    const std::string objects = simErrorMessage([] {
+        Signal sig("s", 2, 2);
+        sig.write(0, makeObj());
+        sig.write(0, makeObj());
+        sig.write(4, makeObj()); // Same slot one lap on, never read.
+    });
+    const std::string immediate = simErrorMessage([] {
+        Signal sig("s", 2, 2, SignalKind::Token);
+        sig.writeToken(0);
+        sig.writeToken(0);
+        sig.writeToken(4);
+    });
+    const std::string buffered = simErrorMessage([] {
+        Signal sig("s", 2, 2, SignalKind::Token);
+        sig.setBuffered(true);
+        sig.writeToken(0);
+        sig.writeToken(0);
+        sig.commit();
+        sig.writeToken(4);
+        sig.commit(); // Loss detected when the write publishes.
+    });
+    EXPECT_NE(objects.find("2 object(s)"), std::string::npos)
+        << objects;
+    EXPECT_EQ(objects, immediate);
+    EXPECT_EQ(objects, buffered);
+}
+
+TEST(SignalToken, InFlightCountsStagedAndLiveTokens)
+{
+    Signal sig("c", 4, 2, SignalKind::Token);
+    sig.setBuffered(true);
+    EXPECT_EQ(sig.inFlight(), 0u);
+    sig.writeToken(0);
+    sig.writeToken(0);
+    EXPECT_EQ(sig.inFlight(), 2u); // Staged.
+    EXPECT_TRUE(sig.fastEmpty());  // Staged tokens are not live.
+    sig.commit();
+    EXPECT_EQ(sig.inFlight(), 2u); // Travelling.
+    EXPECT_FALSE(sig.fastEmpty());
+    sig.writeToken(1);
+    EXPECT_EQ(sig.inFlight(), 3u); // Two live, one staged.
+    EXPECT_EQ(sig.readTokens(2), 2u);
+    EXPECT_EQ(sig.inFlight(), 1u);
+    sig.commit();
+    EXPECT_EQ(sig.readTokens(3), 1u);
+    EXPECT_EQ(sig.inFlight(), 0u);
+    EXPECT_TRUE(sig.fastEmpty());
+}
+
+TEST(SignalToken, BinderRejectsKindMismatch)
+{
+    for (const bool tokenWriter : {true, false}) {
+        SignalBinder binder;
+        StatisticManager stats;
+        NullBox producer(binder, stats, "producer");
+        NullBox consumer(binder, stats, "consumer");
+        const SignalKind writerKind =
+            tokenWriter ? SignalKind::Token : SignalKind::Object;
+        const SignalKind readerKind =
+            tokenWriter ? SignalKind::Object : SignalKind::Token;
+        binder.registerSignal(&producer, "wire", Direction::Out, 2, 1,
+                              writerKind);
+        try {
+            binder.registerSignal(&consumer, "wire", Direction::In, 2,
+                                  1, readerKind);
+            ADD_FAILURE() << "kind mismatch accepted";
+        } catch (const FatalError& e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find("'wire': interface mismatch"),
+                      std::string::npos)
+                << what;
+            EXPECT_NE(what.find("'consumer'"), std::string::npos)
+                << what;
+        }
+    }
+}
+
+TEST(SignalToken, ObjectApiOnTokenWirePanics)
+{
+    Signal token("t", 2, 1, SignalKind::Token);
+    EXPECT_THROW(token.write(0, makeObj()), SimError);
+    EXPECT_THROW(token.read(1), SimError);
+    token.writeToken(0);
+    EXPECT_THROW(token.read(1), SimError);
+    EXPECT_EQ(token.readTokens(1), 1u);
+
+    Signal object("o", 2, 1);
+    EXPECT_THROW(object.writeToken(0), SimError);
+    EXPECT_THROW(object.readTokens(1), SimError);
+}
+
+TEST(SignalToken, EveryTokenIsCountedAndTraced)
+{
+    const std::string path = "test_signal_token_trace.tmp";
+    StatisticManager stats;
+    EventTrace events;
+    {
+        SignalTraceWriter writer(path);
+        Signal sig("link.credit", 3, 1, SignalKind::Token);
+        sig.setBuffered(true);
+        sig.setTracer(&writer);
+        sig.setWriteStat(&stats.get("signal.link.credit", "writes"));
+        sig.setEventTrace(&events, events.registerSignal(sig.name()));
+        sig.writeToken(4);
+        sig.writeToken(4);
+        sig.writeToken(4);
+        sig.commit();
+        sig.writeToken(5);
+        sig.commit();
+    }
+    const Statistic* writes = stats.find("signal.link.credit.writes");
+    ASSERT_NE(writes, nullptr);
+    EXPECT_EQ(writes->total(), 4u);
+
+    SignalTraceReader reader(path);
+    ASSERT_EQ(reader.records().size(), 4u);
+    EXPECT_EQ(reader.activity("link.credit", 4, 5), 3u);
+    EXPECT_EQ(reader.activity("link.credit", 5, 6), 1u);
+    for (const auto& rec : reader.records()) {
+        EXPECT_EQ(rec.objectId, kTokenTraceId);
+        EXPECT_TRUE(rec.trail.empty());
+    }
+    std::remove(path.c_str());
+
+    const EventTraceData data = events.collect();
+    u64 signalWrites = 0;
+    for (const TraceEvent& ev : data.events) {
+        if (ev.kind == static_cast<u16>(EventKind::SignalWrite))
+            ++signalWrites;
+    }
+    EXPECT_EQ(signalWrites, 4u);
+}
+
+TEST(SignalToken, ReaderBoxCountsLiveTokens)
+{
+    SignalBinder binder;
+    binder.setBuffered(true);
+    StatisticManager stats;
+    NullBox producer(binder, stats, "producer");
+    NullBox consumer(binder, stats, "consumer");
+    Signal* wire = binder.registerSignal(&producer, "wire",
+                                         Direction::Out, 4, 1,
+                                         SignalKind::Token);
+    binder.registerSignal(&consumer, "wire", Direction::In, 4, 1,
+                          SignalKind::Token);
+    wire->writeToken(0);
+    wire->writeToken(0);
+    EXPECT_EQ(consumer.liveInputs(), 0u); // Staged only.
+    producer.propagate(0);
+    EXPECT_EQ(wire->pendingWrites(), 0u);
+    EXPECT_EQ(consumer.liveInputs(), 2u);
+    EXPECT_EQ(wire->readTokens(1), 2u);
+    EXPECT_EQ(consumer.liveInputs(), 0u);
 }
 
 // ===== Clock domains and schedulers ================================

@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <gtest/gtest.h>
 #include <sstream>
 
@@ -96,6 +97,8 @@ TEST(System, SignalTraceFromFullRun)
     workloads::CubesWorkload scene(params);
     const auto commands = record(scene, nullptr, params);
 
+    // signal.<credit wire>.writes totals, read while the Gpu lives.
+    std::map<std::string, u64> creditWrites;
     {
         gpu::GpuConfig config;
         config.memorySize = 16u << 20;
@@ -105,10 +108,30 @@ TEST(System, SignalTraceFromFullRun)
         ASSERT_TRUE(gpu.runUntilIdle(50'000'000));
         gpu.simulator().tracer()->flush();
         EXPECT_GT(gpu.simulator().tracer()->recordCount(), 100u);
+        for (const std::string& name :
+             gpu.simulator().binder().signalNames()) {
+            if (!name.ends_with(".credit"))
+                continue;
+            const sim::Statistic* writes =
+                gpu.stats().find("signal." + name + ".writes");
+            ASSERT_NE(writes, nullptr) << name;
+            creditWrites[name] = writes->total();
+        }
     }
 
     sim::SignalTraceReader reader(path);
     EXPECT_GT(reader.records().size(), 100u);
+    // Credits are counted tokens, not objects, but every token still
+    // leaves exactly one text-trace record: per credit wire the
+    // record count equals the write statistic.
+    ASSERT_FALSE(creditWrites.empty());
+    u64 allCredits = 0;
+    for (const auto& [name, writes] : creditWrites) {
+        EXPECT_EQ(reader.activity(name, 0, ~0ull >> 1), writes)
+            << name;
+        allCredits += writes;
+    }
+    EXPECT_GT(allCredits, 0u);
     // The vertex path must show activity.
     EXPECT_GT(reader.activity("streamer.assembly", 0, ~0ull >> 1),
               0u);
