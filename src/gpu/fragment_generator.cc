@@ -82,7 +82,7 @@ FragmentGenerator::startTriangle(Cycle cycle)
     if (head->isMarker()) {
         if (!_out.canSend(cycle))
             return;
-        _out.send(cycle, _in.pop(cycle));
+        _out.send(cycle, std::make_shared<TileObj>(*_in.pop(cycle)));
         return;
     }
     _current = _in.pop(cycle);

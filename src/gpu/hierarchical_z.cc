@@ -167,7 +167,7 @@ HierarchicalZ::processTiles(Cycle cycle)
                 if (!out->canSend(cycle))
                     return;
             }
-            auto marker = _in.pop(cycle);
+            auto marker = std::make_shared<QuadObj>(*_in.pop(cycle));
             for (auto& out : _toRopz)
                 out->send(cycle, marker);
             continue;

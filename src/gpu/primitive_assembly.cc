@@ -54,14 +54,14 @@ PrimitiveAssembly::assemble(Cycle cycle)
         _window.clear();
         _vertexCount = 0;
         _triangleCount = 0;
-        _out.send(cycle, _in.pop(cycle));
+        _out.send(cycle, std::make_shared<TriangleObj>(*_in.pop(cycle)));
         return;
     }
     if (head->marker == MarkerKind::BatchEnd) {
         if (!_out.canSend(cycle))
             return;
         _window.clear();
-        _out.send(cycle, _in.pop(cycle));
+        _out.send(cycle, std::make_shared<TriangleObj>(*_in.pop(cycle)));
         return;
     }
 

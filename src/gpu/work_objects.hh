@@ -31,7 +31,16 @@ enum class MarkerKind : u8
     BatchEnd,   ///< Flows behind the batch's last work item.
 };
 
-/** Base class for pipeline work: carries batch id and state. */
+/**
+ * Base class for pipeline work: carries batch id and state.
+ *
+ * A batch marker crosses boxes whose input and output links carry
+ * different types (vertex -> triangle -> tile -> quad).  Each such
+ * box forwards it as an object of its output type built from the
+ * marker's WorkObject part, which copies the id, cookie trail, batch
+ * id, state and marker kind: a link only ever holds its own type,
+ * and traces still see one marker object end to end.
+ */
 class WorkObject : public sim::DynamicObject
 {
   public:
@@ -65,6 +74,10 @@ using VertexObjPtr = std::shared_ptr<VertexObj>;
 class TriangleObj : public WorkObject
 {
   public:
+    TriangleObj() = default;
+    /** A batch marker re-typed for a triangle link (see WorkObject). */
+    explicit TriangleObj(const WorkObject& marker) : WorkObject(marker) {}
+
     /** Shaded vertex outputs of the three corners. */
     std::array<std::array<emu::Vec4, emu::regix::numOutputRegs>, 3>
         vertex{};
@@ -79,6 +92,10 @@ using TriangleObjPtr = std::shared_ptr<TriangleObj>;
 class TileObj : public WorkObject
 {
   public:
+    TileObj() = default;
+    /** A batch marker re-typed for a tile link (see WorkObject). */
+    explicit TileObj(const WorkObject& marker) : WorkObject(marker) {}
+
     TriangleObjPtr triangle;
     s32 x0 = 0; ///< Tile origin in pixels.
     s32 y0 = 0;
@@ -93,6 +110,10 @@ using TileObjPtr = std::shared_ptr<TileObj>;
 class QuadObj : public WorkObject
 {
   public:
+    QuadObj() = default;
+    /** A batch marker re-typed for a quad link (see WorkObject). */
+    explicit QuadObj(const WorkObject& marker) : WorkObject(marker) {}
+
     TriangleObjPtr triangle;
     s32 x0 = 0; ///< Top-left fragment position.
     s32 y0 = 0;

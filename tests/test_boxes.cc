@@ -1,8 +1,9 @@
 /**
  * @file
  * Unit tests for individual pipeline pieces: flow-controlled links,
- * the interpolator math, Hierarchical Z quantization, register
- * decode and the GPU configuration presets.
+ * batch-marker forwarding in primitive assembly, the interpolator
+ * math, Hierarchical Z quantization, register decode and the GPU
+ * configuration presets.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include "gpu/hierarchical_z.hh"
 #include "gpu/interpolator.hh"
 #include "gpu/link.hh"
+#include "gpu/primitive_assembly.hh"
 #include "gpu/regs.hh"
 #include "sim/simulator.hh"
 
@@ -120,6 +122,70 @@ TEST(Link, QueueNeverOverflows)
     sim.addBox(&consumer);
     EXPECT_NO_THROW(sim.run(200));
     EXPECT_GT(seen, 50u);
+}
+
+TEST(PrimitiveAssembly, ForwardsBatchMarkersAsTriangleObjects)
+{
+    // The clipper link carries TriangleObj only: batch markers from
+    // the vertex stream must be re-typed, keeping their identity.
+    sim::Simulator sim;
+    const GpuConfig config;
+    HostBox streamer(sim.binder(), sim.stats(), "streamer");
+    PrimitiveAssembly assembly(sim.binder(), sim.stats(), config);
+    HostBox clipper(sim.binder(), sim.stats(), "clipper");
+    LinkTx tx;
+    tx.init(streamer, sim.binder(), "streamer.assembly", 1, 1,
+            config.primitiveAssemblyQueue);
+    LinkRx<WorkObject> rx;
+    rx.init(clipper, sim.binder(), "assembly.clipper",
+            config.trianglesPerCycle, 1, config.clipperQueue);
+
+    auto marker = [](MarkerKind kind) {
+        auto v = std::make_shared<VertexObj>();
+        v->marker = kind;
+        v->batchId = 7;
+        v->state = std::make_shared<RenderState>();
+        v->copyTrailFrom(WorkObject()); // A non-empty trail.
+        return v;
+    };
+    std::vector<VertexObjPtr> input{marker(MarkerKind::BatchStart)};
+    for (int i = 0; i < 3; ++i) {
+        input.push_back(std::make_shared<VertexObj>());
+        input.back()->batchId = 7;
+    }
+    input.push_back(marker(MarkerKind::BatchEnd));
+
+    std::size_t next = 0;
+    streamer.tick = [&](Cycle cycle) {
+        tx.clock(cycle);
+        if (next < input.size() && tx.canSend(cycle))
+            tx.send(cycle, input[next++]);
+    };
+    std::vector<WorkObjectPtr> output;
+    clipper.tick = [&](Cycle cycle) {
+        rx.clock(cycle);
+        while (!rx.empty())
+            output.push_back(rx.pop(cycle));
+    };
+    sim.addBox(&streamer);
+    sim.addBox(&assembly);
+    sim.addBox(&clipper);
+    sim.run(50);
+
+    ASSERT_EQ(output.size(), 3u); // start, one triangle, end
+    const std::pair<VertexObjPtr, WorkObjectPtr> markers[] = {
+        {input.front(), output.front()}, {input.back(), output.back()}};
+    for (const auto& [in, out] : markers) {
+        ASSERT_NE(std::dynamic_pointer_cast<TriangleObj>(out), nullptr);
+        EXPECT_EQ(out->marker, in->marker);
+        EXPECT_EQ(out->id(), in->id());
+        EXPECT_EQ(out->cookies(), in->cookies());
+        EXPECT_EQ(out->batchId, in->batchId);
+        EXPECT_EQ(out->state, in->state);
+    }
+    auto tri = std::dynamic_pointer_cast<TriangleObj>(output[1]);
+    ASSERT_NE(tri, nullptr);
+    EXPECT_FALSE(tri->isMarker());
 }
 
 TEST(Interpolator, QuadAttributesPerspectiveCorrect)
