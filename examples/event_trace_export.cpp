@@ -1,8 +1,9 @@
 /**
  * @file
  * event_trace_export: convert a binary .evtrace file (written by a
- * bench run with --event-trace, or by sim::writeEventTraceBinary) to
- * Chrome-tracing JSON for ui.perfetto.dev / chrome://tracing.
+ * bench run with --event-trace, by signal_trace_visualizer, or by
+ * sim::writeEventTraceBinary) to Chrome-tracing JSON for
+ * ui.perfetto.dev / chrome://tracing.
  *
  *   event_trace_export input.evtrace output.trace.json [--window N]
  *
@@ -11,7 +12,9 @@
  * tool when no browser is at hand.
  */
 
+#include <charconv>
 #include <iostream>
+#include <optional>
 #include <string>
 
 #include "sim/event_trace.hh"
@@ -19,6 +22,31 @@
 #include "sim/trace_export.hh"
 
 using namespace attila;
+
+namespace
+{
+
+/** A --window value: decimal digits only, at least 1, no overflow. */
+std::optional<u64>
+parseWindow(const std::string& text)
+{
+    u64 value = 0;
+    const char* end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    if (ec != std::errc() || ptr != end || value == 0)
+        return std::nullopt;
+    return value;
+}
+
+int
+usage(const char* argv0)
+{
+    std::cerr << "usage: " << argv0
+              << " input.evtrace output.trace.json [--window N]\n";
+    return 2;
+}
+
+} // anonymous namespace
 
 int
 main(int argc, char** argv)
@@ -28,27 +56,30 @@ main(int argc, char** argv)
     u64 window = 10000;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        if (arg.rfind("--window=", 0) == 0) {
-            window = std::stoull(arg.substr(9));
-        } else if (arg == "--window" && i + 1 < argc) {
-            window = std::stoull(argv[++i]);
+        const bool joined = arg.rfind("--window=", 0) == 0;
+        if (joined || arg == "--window") {
+            if (!joined && i + 1 == argc)
+                return usage(argv[0]);
+            const std::string value =
+                joined ? arg.substr(9) : std::string(argv[++i]);
+            const std::optional<u64> parsed = parseWindow(value);
+            if (!parsed) {
+                std::cerr << "error: --window expects a positive "
+                             "integer, got '"
+                          << value << "'\n";
+                return usage(argv[0]);
+            }
+            window = *parsed;
         } else if (input.empty()) {
             input = arg;
         } else if (output.empty()) {
             output = arg;
         } else {
-            std::cerr << "usage: " << argv[0]
-                      << " input.evtrace output.trace.json"
-                         " [--window N]\n";
-            return 2;
+            return usage(argv[0]);
         }
     }
-    if (input.empty() || output.empty() || window == 0) {
-        std::cerr << "usage: " << argv[0]
-                  << " input.evtrace output.trace.json"
-                     " [--window N]\n";
-        return 2;
-    }
+    if (input.empty() || output.empty())
+        return usage(argv[0]);
 
     try {
         const sim::EventTraceData data =

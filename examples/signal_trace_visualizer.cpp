@@ -1,19 +1,22 @@
 /**
  * @file
  * Signal Trace Visualizer: the performance-debugging tool of the
- * paper (§3).  Runs a small render with per-cycle signal tracing
- * enabled, then renders an ASCII timeline of per-signal activity —
- * the utilization view the original GUI tool provided.
+ * paper (§3).  Runs a small render with the event trace enabled,
+ * bins every SignalWrite event by signal and renders an ASCII
+ * timeline of per-signal activity — the utilization view the
+ * original GUI tool provided.  The trace is also saved as
+ * out/pipeline.evtrace for event_trace_export.
  */
 
 #include <algorithm>
 #include <iomanip>
 #include <iostream>
+#include <map>
 
 #include "gl/context.hh"
 #include "gpu/gpu.hh"
+#include "sim/event_trace.hh"
 #include "sim/out_dir.hh"
-#include "sim/signal_trace.hh"
 #include "workloads/cubes.hh"
 
 using namespace attila;
@@ -21,12 +24,9 @@ using namespace attila;
 int
 run()
 {
-    const std::string tracePath =
-        sim::outPath("pipeline.sigtrace");
-
     gpu::GpuConfig config = gpu::GpuConfig::baseline();
     config.memorySize = 32u << 20;
-    config.signalTracePath = tracePath;
+    config.eventTrace = true;
     gpu::Gpu gpu(config);
 
     workloads::WorkloadParams params;
@@ -41,13 +41,35 @@ run()
     scene.renderFrame(ctx, 0);
     gpu.submit(ctx.takeCommands());
     gpu.runUntilIdle();
-    gpu.simulator().tracer()->flush();
+    const sim::EventTraceData trace =
+        gpu.simulator().finishEventTrace();
+    const std::string tracePath = sim::outPath("pipeline.evtrace");
+    sim::writeEventTraceBinary(trace, tracePath);
 
     // --- Analysis ----------------------------------------------------
-    sim::SignalTraceReader reader(tracePath);
-    std::cout << "signal trace: " << reader.records().size()
-              << " records, cycles " << reader.firstCycle() << ".."
-              << reader.lastCycle() << "\n\n";
+    // Write cycles per signal name; events arrive sorted by cycle, so
+    // each list is sorted and the first/last events bound the run.
+    std::map<std::string, std::vector<Cycle>> writes;
+    u64 records = 0;
+    Cycle first = 0;
+    Cycle last = 0;
+    for (const sim::TraceEvent& e : trace.events) {
+        if (e.kind != static_cast<u16>(sim::EventKind::SignalWrite))
+            continue;
+        if (records++ == 0)
+            first = e.cycle;
+        last = e.cycle;
+        writes[trace.signals[e.unit]].push_back(e.cycle);
+    }
+    // Writes into @p cycles within [@p from, @p to).
+    const auto activity = [](const std::vector<Cycle>& cycles,
+                             Cycle from, Cycle to) {
+        return static_cast<u64>(
+            std::lower_bound(cycles.begin(), cycles.end(), to) -
+            std::lower_bound(cycles.begin(), cycles.end(), from));
+    };
+    std::cout << "signal trace: " << records << " records, cycles "
+              << first << ".." << last << "\n\n";
 
     // Select the busiest data signals for display.
     struct Row
@@ -56,11 +78,10 @@ run()
         u64 total;
     };
     std::vector<Row> rows;
-    for (const std::string& name : reader.signalNames()) {
+    for (const auto& [name, cycles] : writes) {
         if (name.find(".credit") != std::string::npos)
             continue; // Flow control noise.
-        rows.push_back(
-            {name, reader.activity(name, 0, ~0ull >> 1)});
+        rows.push_back({name, cycles.size()});
     }
     std::sort(rows.begin(), rows.end(),
               [](const Row& a, const Row& b) {
@@ -70,21 +91,19 @@ run()
 
     // ASCII timeline: 60 buckets across the run.
     const u32 buckets = 60;
-    const Cycle span =
-        std::max<Cycle>(1, reader.lastCycle() - reader.firstCycle());
+    const Cycle span = std::max<Cycle>(1, last - first);
     std::cout << std::left << std::setw(26) << "signal"
               << " activity timeline (" << span / buckets
               << " cycles per column)\n";
     const char* shade = " .:-=+*#%@";
     for (const Row& row : rows) {
+        const std::vector<Cycle>& cycles = writes.at(row.name);
         u64 maxBucket = 1;
         std::vector<u64> hist(buckets, 0);
         for (u32 b = 0; b < buckets; ++b) {
-            const Cycle from =
-                reader.firstCycle() + span * b / buckets;
-            const Cycle to =
-                reader.firstCycle() + span * (b + 1) / buckets;
-            hist[b] = reader.activity(row.name, from, to);
+            const Cycle from = first + span * b / buckets;
+            const Cycle to = first + span * (b + 1) / buckets;
+            hist[b] = activity(cycles, from, to);
             maxBucket = std::max(maxBucket, hist[b]);
         }
         std::cout << std::left << std::setw(26) << row.name << " ";

@@ -545,6 +545,38 @@ execDecodedAlu(const DecodedIns& ins, const ConstantBank& constants,
     }
 }
 
+/**
+ * Operands of one quad texture access: per-lane coordinates (done
+ * lanes keep the default value), the live-lane mask and the one LOD
+ * bias the quad shares, taken from the *last* live lane's TXB
+ * coordinate.w.  Both quad kernels build their requests here, so the
+ * timing and reference images always sample with the same bias.
+ */
+struct QuadTexOperands
+{
+    std::array<Vec4, 4> coords{};
+    u8 liveMask = 0;
+    f32 lodBias = 0.0f;
+};
+
+QuadTexOperands
+quadTexOperands(const DecodedIns& ins,
+                const std::array<ShaderThreadState, 4>& lanes,
+                const std::array<bool, 4>& laneDone,
+                const ConstantBank& constants)
+{
+    QuadTexOperands ops;
+    for (u32 l = 0; l < 4; ++l) {
+        if (laneDone[l])
+            continue;
+        ops.coords[l] = readSrcD(ins.src[0], lanes[l], constants);
+        ops.liveMask |= static_cast<u8>(1u << l);
+        if (ins.texBiased)
+            ops.lodBias = ops.coords[l].w;
+    }
+    return ops;
+}
+
 } // anonymous namespace
 
 QuadStepResult
@@ -584,20 +616,14 @@ ShaderEmulator::stepQuad(const DecodedProgram& program,
     }
 
     if (ins.isTexture) {
-        // Per-lane coordinate reads; the request carries one bias
-        // per quad, taken from the *last* live lane.
+        const QuadTexOperands ops =
+            quadTexOperands(ins, lanes, laneDone, constants);
         result.outcome = StepOutcome::TexRequest;
         result.texUnit = ins.texUnit;
         result.texTarget = ins.texTarget;
         result.texProjected = ins.texProjected;
-        for (u32 l = 0; l < 4; ++l) {
-            if (laneDone[l])
-                continue;
-            const Vec4 coord =
-                readSrcD(ins.src[0], lanes[l], constants);
-            result.texCoords[l] = coord;
-            result.texLodBias = ins.texBiased ? coord.w : 0.0f;
-        }
+        result.texCoords = ops.coords;
+        result.texLodBias = ops.lodBias;
         return result;
     }
 
@@ -757,22 +783,11 @@ ShaderEmulator::runQuad(const DecodedProgram& program,
             if (!sampler)
                 panic("shader emulator: runQuad() needs a quad"
                       " sampler for texture instructions");
-            // The *first* live lane supplies the shared bias.
-            std::array<Vec4, 4> coords{};
-            u8 live = 0;
-            f32 bias = 0.0f;
-            for (u32 l = 0; l < 4; ++l) {
-                if (laneDone[l])
-                    continue;
-                coords[l] =
-                    readSrcD(ins.src[0], lanes[l], constants);
-                if (!live)
-                    bias = ins.texBiased ? coords[l].w : 0.0f;
-                live |= static_cast<u8>(1u << l);
-            }
+            const QuadTexOperands ops =
+                quadTexOperands(ins, lanes, laneDone, constants);
             const std::array<Vec4, 4> texels =
-                sampler(ins.texUnit, ins.texTarget, coords, live,
-                        bias, ins.texProjected);
+                sampler(ins.texUnit, ins.texTarget, ops.coords,
+                        ops.liveMask, ops.lodBias, ins.texProjected);
             for (u32 l = 0; l < 4; ++l) {
                 if (laneDone[l])
                     continue;

@@ -121,7 +121,6 @@ CommandProcessor::broadcastControl(Cycle cycle, ControlKind kind)
         auto ctrl = std::make_shared<ControlObj>();
         ctrl->kind = kind;
         ctrl->state = state;
-        ctrl->setInfo("ctrl");
         t->send(cycle, ctrl);
     }
     _ctrlAcksPending = expectedAcks(kind);
@@ -198,7 +197,6 @@ CommandProcessor::startCommand(Cycle cycle)
         cmd->batchId = _nextBatchId++;
         cmd->state = std::make_shared<const RenderState>(_staging);
         cmd->params = _current.draw;
-        cmd->setInfo("draw");
         _drawOut.send(cycle, cmd);
         ++_inflightBatches;
         _pending.pop_front();

@@ -268,7 +268,6 @@ FragmentFifo::issue(Cycle cycle)
 
         auto work = std::make_shared<ShaderWorkObj>();
         work->entryId = entry.id;
-        work->setInfo("thread");
         if (entry.kind == EntryKind::Quad) {
             work->target = emu::ShaderTarget::Fragment;
             work->state = entry.quad->state;

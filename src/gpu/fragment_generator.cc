@@ -33,7 +33,6 @@ FragmentGenerator::buildTile(s32 x0, s32 y0) const
     tile->triangle = _current;
     tile->x0 = x0;
     tile->y0 = y0;
-    tile->setInfo("tile");
     tile->copyTrailFrom(*_current);
 
     f32 minZ = 1.0f;

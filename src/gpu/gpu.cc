@@ -32,8 +32,6 @@ Gpu::Gpu(const GpuConfig& config)
       _memory(std::make_unique<emu::GpuMemory>(_config.memorySize))
 {
     _sim.stats().setWindow(config.statsWindow);
-    if (!config.signalTracePath.empty())
-        _sim.enableTracing(config.signalTracePath);
 
     sim::SignalBinder& binder = _sim.binder();
     sim::StatisticManager& stats = _sim.stats();
@@ -139,24 +137,18 @@ Gpu::Gpu(const GpuConfig& config)
     core.addBox(_memoryController.get());
 
     if (_config.scheduler == SchedulerKind::Parallel) {
-        if (!_config.signalTracePath.empty()) {
-            // The trace file's record order is only meaningful when
-            // boxes commit in a fixed order.
-            warn("signal tracing forces the serial scheduler");
-        } else {
-            sim::ParallelScheduler::Options options;
-            options.workSteal = _config.schedWorkSteal;
-            options.slackPercent = _config.schedPartitionSlack;
-            _sim.setScheduler(std::make_unique<sim::ParallelScheduler>(
-                _config.schedulerThreads, options));
-        }
+        sim::ParallelScheduler::Options options;
+        options.workSteal = _config.schedWorkSteal;
+        options.slackPercent = _config.schedPartitionSlack;
+        _sim.setScheduler(std::make_unique<sim::ParallelScheduler>(
+            _config.schedulerThreads, options));
     }
     _sim.setIdleSkip(_config.idleSkip);
 
-    // Structured event tracing records into per-thread chunks, so —
-    // unlike the text signal trace above — it runs under any
-    // scheduler.  Enabled last: every box is in its domain and every
-    // signal registered, so unit ids come out deterministic.
+    // Structured event tracing records into per-thread chunks, so it
+    // runs under any scheduler.  Enabled last: every box is in its
+    // domain and every signal registered, so unit ids come out
+    // deterministic.
     if (_config.eventTrace) {
         if constexpr (!sim::kEventTraceCompiled) {
             warn("event tracing requested but compiled out "

@@ -132,7 +132,6 @@ visitConfigFields(GpuConfig& c, V&& v)
     v.field("engine.drainPollInterval", c.drainPollInterval);
 
     v.field("stats.window", c.statsWindow);
-    v.field("stats.signalTracePath", c.signalTracePath);
     v.field("stats.eventTrace", c.eventTrace);
 }
 

@@ -340,7 +340,6 @@ struct GpuConfig
 
     // ===== Statistics / debugging ===================================
     u64 statsWindow = 10000; ///< Sampling window in cycles.
-    std::string signalTracePath; ///< Empty disables tracing.
     /** Structured binary event tracing (box activity spans, signal
      * occupancy, cache transactions, shader thread slots).  Works
      * under any scheduler; exported to Chrome-tracing/Perfetto JSON

@@ -119,7 +119,6 @@ HierarchicalZ::splitTile(Cycle cycle, const TileObjPtr& tile)
                 quad->backFacing =
                     tile->triangle->setup.ccw !=
                     tile->state->frontFaceCcw;
-                quad->setInfo("quad");
                 quad->copyTrailFrom(*tile);
                 _pendingQuads.push_back(std::move(quad));
             }

@@ -278,7 +278,6 @@ ShaderUnit::execute(Cycle cycle, Thread& thread)
             req->shaderId = _unit;
             req->threadTag = thread.work->entryId;
             req->state = thread.work->state;
-            req->setInfo("tex");
             req->copyTrailFrom(*thread.work);
             for (u32 l = 0; l < 4; ++l) {
                 req->active[l] = !thread.laneDone[l];

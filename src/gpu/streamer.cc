@@ -204,7 +204,6 @@ Streamer::handleMemory(Cycle cycle)
                 v->index = fetch.index;
                 v->sequence = fetch.sequence;
                 v->in = fetch.in;
-                v->setInfo("vtx");
                 v->copyTrailFrom(*_batch);
                 _readyForShading.push_back(std::move(v));
                 _fetches.erase(it);
@@ -295,7 +294,6 @@ Streamer::dispatchVertices(Cycle cycle)
         v->state = _batch->state;
         v->index = index;
         v->sequence = seq;
-        v->setInfo("vtx");
         v->copyTrailFrom(*_batch);
         _readyForShading.push_back(std::move(v));
     } else {
@@ -337,7 +335,6 @@ Streamer::commit(Cycle cycle)
         marker->batchId = _batch->batchId;
         marker->state = _batch->state;
         marker->primitive = _batch->params.primitive;
-        marker->setInfo("batch.start");
         _toAssembly.send(cycle, marker);
         _startSent = true;
     }
@@ -353,7 +350,6 @@ Streamer::commit(Cycle cycle)
         v->sequence = it->second.sequence;
         v->out = it->second.out;
         v->fromVertexCache = it->second.cacheHit;
-        v->setInfo("vtx.shaded");
         _toAssembly.send(cycle, v);
         _rob.erase(it);
         ++_committed;
@@ -367,7 +363,6 @@ Streamer::commit(Cycle cycle)
         marker->marker = MarkerKind::BatchEnd;
         marker->batchId = _batch->batchId;
         marker->state = _batch->state;
-        marker->setInfo("batch.end");
         _toAssembly.send(cycle, marker);
         _endSent = true;
         _active = false;

@@ -4,12 +4,13 @@
  * signals.
  *
  * Every object flowing between boxes derives from DynamicObject.  It
- * carries an identifier, a 'color' and a debug info string, plus a
- * cookie trail that associates related objects into a multilevel
- * hierarchy (e.g. a memory access belongs to a fragment which belongs
- * to a triangle which belongs to a batch).  The cookie trail is what
- * the Signal Trace Visualizer uses to follow work through the
- * pipeline.
+ * carries an identifier and a 'color', plus a cookie trail that
+ * associates related objects into a multilevel hierarchy (e.g. a
+ * memory access belongs to a fragment which belongs to a triangle
+ * which belongs to a batch).  The event trace records the id, color
+ * and innermost cookie of every object written into a signal
+ * (sim/event_trace.hh), which is how the Signal Trace Visualizer
+ * follows work through the pipeline.
  */
 
 #ifndef ATTILA_SIM_DYNAMIC_OBJECT_HH
@@ -17,7 +18,6 @@
 
 #include <atomic>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "sim/types.hh"
@@ -48,10 +48,6 @@ class DynamicObject
     u32 color() const { return _color; }
     void setColor(u32 color) { _color = color; }
 
-    /** Free-form debugging text shown in signal traces. */
-    const std::string& info() const { return _info; }
-    void setInfo(std::string info) { _info = std::move(info); }
-
     /**
      * Cookie trail: the identifiers of the ancestors of this object,
      * outermost first.  copyTrailFrom() inherits a parent's trail plus
@@ -68,31 +64,17 @@ class DynamicObject
         _cookies.push_back(parent._id);
     }
 
-    /** Render the cookie trail as "a.b.c" for trace files. */
-    std::string
-    trailString() const
-    {
-        std::string s;
-        for (u64 c : _cookies) {
-            if (!s.empty())
-                s += '.';
-            s += std::to_string(c);
-        }
-        return s;
-    }
-
     /**
      * Reset the base-class state for pool recycling: a recycled
      * object gets a fresh identity (so traces never conflate two
-     * logical objects) while the info string and cookie trail keep
-     * their heap buffers (clear(), not reallocation).
+     * logical objects) while the cookie trail keeps its heap buffer
+     * (clear(), not reallocation).
      */
     void
     resetDynamicState()
     {
         _id = nextId();
         _color = 0;
-        _info.clear();
         _cookies.clear();
     }
 
@@ -106,7 +88,6 @@ class DynamicObject
 
     u64 _id;
     u32 _color = 0;
-    std::string _info;
     std::vector<u64> _cookies;
 };
 

@@ -2,10 +2,10 @@
  * @file
  * EventTrace: low-overhead structured binary event recording.
  *
- * Where the text signal trace (sim/signal_trace.hh) pays a mutex and
- * an ofstream per record — and therefore forces the serial scheduler
- * — the event trace records fixed-size 32-byte events into per-thread
- * chunks with no lock on the hot path.  Workers under the partitioned
+ * The simulator's one trace system: it records fixed-size 32-byte
+ * events into per-thread chunks with no lock on the hot path, and
+ * its SignalWrite events drive the Signal Trace Visualizer
+ * (examples/signal_trace_visualizer).  Workers under the partitioned
  * parallel scheduler each append to their own chunk; collect() merges
  * the chunks and sorts by cycle, so the trace works identically under
  * serial and parallel clocking.

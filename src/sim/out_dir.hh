@@ -1,7 +1,7 @@
 /**
  * @file
  * outPath: route generated artifacts (.ppm images, .csv stats,
- * .sigtrace dumps) into an out/ directory under the current working
+ * .evtrace dumps) into an out/ directory under the current working
  * directory instead of littering the repository root.
  */
 

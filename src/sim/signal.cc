@@ -2,7 +2,6 @@
 
 #include "sim/event_trace.hh"
 #include "sim/logging.hh"
-#include "sim/signal_trace.hh"
 #include "sim/statistics.hh"
 
 namespace attila::sim
@@ -162,9 +161,6 @@ Signal::publish(Cycle cycle, DynamicObjectPtr obj)
     if (slot.objects.size() >= _bandwidth)
         bandwidthExceeded(cycle);
 
-    if (_tracer)
-        _tracer->record(cycle, _name, *obj);
-
     if constexpr (kEventTraceCompiled) {
         if (_eventTrace) [[unlikely]] {
             _eventTrace->emit(EventKind::SignalWrite, cycle,
@@ -186,13 +182,11 @@ Signal::publishTokens(Cycle cycle, u32 count)
     if (slot.tokens + count > _bandwidth)
         bandwidthExceeded(cycle);
 
-    // One trace record and one event per token, exactly as if each
-    // had been an object of its own.
-    for (u32 i = 0; i < count; ++i) {
-        if (_tracer)
-            _tracer->recordToken(cycle, _name);
-        if constexpr (kEventTraceCompiled) {
-            if (_eventTrace) [[unlikely]] {
+    // One event per token, exactly as if each had been an object of
+    // its own.
+    if constexpr (kEventTraceCompiled) {
+        if (_eventTrace) [[unlikely]] {
+            for (u32 i = 0; i < count; ++i) {
                 _eventTrace->emit(EventKind::SignalWrite, cycle,
                                   _eventTraceId);
             }

@@ -17,8 +17,8 @@
  *    readTokens()).  They model flow-control credits, where only the
  *    number of arrivals matters, so nothing is allocated per write.
  *    A token still counts as one write for the bandwidth check, the
- *    data-loss check, the "signal.<name>.writes" statistic, the text
- *    trace and the event trace.
+ *    data-loss check, the "signal.<name>.writes" statistic and the
+ *    event trace.
  * Both ends declare the kind at registration and the binder rejects
  * a mismatch; using the other kind's API on a wire panics.
  *
@@ -69,7 +69,6 @@ namespace attila::sim
 {
 
 class EventTrace;
-class SignalTraceWriter;
 class Statistic;
 
 /** What a signal transports. */
@@ -274,17 +273,14 @@ class Signal
         counter->fetch_add(live(), std::memory_order_relaxed);
     }
 
-    /** Attach a trace writer; every write is then recorded. */
-    void setTracer(SignalTraceWriter* tracer) { _tracer = tracer; }
-
     /** Attach a statistic counting writes. */
     void setWriteStat(Statistic* stat) { _writeStat = stat; }
 
     /**
      * Attach the structured event trace under unit id @p id; every
-     * published object or token then emits one SignalWrite event.
-     * Unlike the text tracer this records into the publishing
-     * thread's chunk, so it is safe under the parallel scheduler.
+     * published object or token then emits one SignalWrite event
+     * into the publishing thread's chunk, so it is safe under the
+     * parallel scheduler.
      */
     void
     setEventTrace(EventTrace* trace, u16 id)
@@ -411,7 +407,6 @@ class Signal
     u64* _writerDirty = nullptr;
     u64 _dirtyBit = 0;
     std::atomic<u64>* _readerLive = nullptr;
-    SignalTraceWriter* _tracer = nullptr;
     Statistic* _writeStat = nullptr;
     EventTrace* _eventTrace = nullptr;
     u16 _eventTraceId = 0;

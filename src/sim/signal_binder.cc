@@ -23,8 +23,6 @@ SignalBinder::registerSignal(Box* box, const std::string& name,
         Entry entry;
         entry.signal = std::make_unique<Signal>(name, bandwidth,
                                                 latency, kind);
-        if (_tracer)
-            entry.signal->setTracer(_tracer);
         if (_eventTrace) {
             entry.signal->setEventTrace(
                 _eventTrace, _eventTrace->registerSignal(name));
@@ -125,14 +123,6 @@ SignalBinder::totalWrites() const
     for (const auto& [name, entry] : _entries)
         count += entry.signal->totalWrites();
     return count;
-}
-
-void
-SignalBinder::setTracer(SignalTraceWriter* tracer)
-{
-    _tracer = tracer;
-    for (auto& [name, entry] : _entries)
-        entry.signal->setTracer(tracer);
 }
 
 void

@@ -33,7 +33,6 @@ namespace attila::sim
 
 class Box;
 class EventTrace;
-class SignalTraceWriter;
 class StatisticManager;
 
 /** Signal registration direction relative to the registering box. */
@@ -76,9 +75,6 @@ class SignalBinder
      */
     void checkConnectivity() const;
 
-    /** Attach @p tracer to every signal (current and future). */
-    void setTracer(SignalTraceWriter* tracer);
-
     /**
      * Attach the structured event trace to every signal (current and
      * future), registering each signal's name for a unit id.  The
@@ -108,7 +104,6 @@ class SignalBinder
     };
 
     std::map<std::string, Entry> _entries;
-    SignalTraceWriter* _tracer = nullptr;
     EventTrace* _eventTrace = nullptr;
     StatisticManager* _stats = nullptr;
     bool _buffered = false;

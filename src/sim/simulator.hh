@@ -29,7 +29,6 @@
 #include "sim/event_trace.hh"
 #include "sim/scheduler.hh"
 #include "sim/signal_binder.hh"
-#include "sim/signal_trace.hh"
 #include "sim/statistics.hh"
 
 namespace attila::sim
@@ -121,16 +120,6 @@ class Simulator
 
     bool idleSkip() const { return _idleSkip; }
 
-    /** Enable signal tracing into @p path. */
-    void
-    enableTracing(const std::string& path)
-    {
-        _tracer = std::make_unique<SignalTraceWriter>(path);
-        _binder.setTracer(_tracer.get());
-    }
-
-    SignalTraceWriter* tracer() { return _tracer.get(); }
-
     /**
      * Enable structured event tracing: register every box (span
      * events come from the scheduler's clock/skip decisions), give
@@ -138,8 +127,8 @@ class Simulator
      * (attachEventTrace), and attach the trace to every signal.
      * Call after all boxes are in their domains; boxes and signals
      * added later are still picked up via the binder and explicit
-     * attachment, but ids assigned here are deterministic.  Unlike
-     * the text signal trace this does not constrain the scheduler.
+     * attachment, but ids assigned here are deterministic.  It runs
+     * under any scheduler.
      */
     void
     enableEventTrace()
@@ -313,7 +302,6 @@ class Simulator
     StatisticManager _stats;
     std::vector<std::unique_ptr<ClockDomain>> _domains;
     std::unique_ptr<Scheduler> _scheduler;
-    std::unique_ptr<SignalTraceWriter> _tracer;
     std::unique_ptr<EventTrace> _eventTrace;
     Cycle _tick = 0;
     bool _idleSkip = true;

@@ -169,7 +169,6 @@ TEST(GpuConfigText, RoundTripReproducesModifiedConfigs)
     c.dramTiming = "nbk=4:RCD=9:CL=7";
     c.fragmentGen = FragmentGenKind::Scanline;
     c.scheduler = SchedulerKind::Parallel;
-    c.signalTracePath = "trace.csv";
     c.statsWindow = 1234567;
     const GpuConfig again =
         GpuConfig::fromConfigText(c.toConfigText());
@@ -371,6 +370,14 @@ TEST(GpuConfigText, RetiredKeysAreUnknownWithLocation)
                   std::string::npos)
             << msg;
     }
+    // A retired key is an unknown key like any other.
+    const std::string msg = errorOf([] {
+        GpuConfig c;
+        c.applySet("stats.signalTracePath=x");
+    });
+    EXPECT_NE(msg.find("unknown GpuConfig key 'stats.signalTracePath'"),
+              std::string::npos)
+        << msg;
 }
 
 TEST(GpuConfigText, ShippedBaselineConfigMatchesCompiledDefaults)

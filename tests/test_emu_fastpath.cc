@@ -51,8 +51,8 @@ struct Lcg
 
 /**
  * A pure per-lane texture function shared by both sampler shapes.
- * The quad sampler receives one shared lod bias (first live lane)
- * while the legacy scalar path passes each lane's own bias, so the
+ * The quad sampler receives one shared lod bias (last live lane)
+ * while the scalar path passes each lane's own bias, so the
  * texel deliberately ignores the bias argument — projection, which
  * both paths hand down unapplied, is applied identically per lane.
  */
@@ -256,6 +256,80 @@ TEST(EmuFastPath, RandomProgramsScalarVsQuadBitIdentical)
                 << "seed " << seed << " lane " << l;
             EXPECT_TRUE(laneDone[l])
                 << "seed " << seed << " lane " << l;
+        }
+    }
+}
+
+TEST(EmuFastPath, TxbBiasAgreesBetweenStepQuadAndRunQuad)
+{
+    // The timing path (stepQuad + completeTextureQuad) and the
+    // reference path (runQuad) must hand the sampler the same shared
+    // TXB bias, also when every lane carries its own coordinate.w and
+    // only some lanes are live.  The sampler here folds the bias into
+    // every texel, so any disagreement shows in the registers.
+    ShaderEmulator emulator;
+    auto biasedFn = [](u32 unit, TexTarget,
+                       const std::array<Vec4, 4>& coords, u8 liveMask,
+                       f32 lodBias, bool projected) {
+        std::array<Vec4, 4> texels{};
+        for (u32 l = 0; l < 4; ++l) {
+            if (liveMask & (1u << l)) {
+                const Vec4 t = texel(unit, coords[l], projected);
+                texels[l] = {t.x + lodBias, t.y * lodBias, t.z,
+                             lodBias};
+            }
+        }
+        return texels;
+    };
+    const QuadSampler sampler = biasedFn;
+
+    for (u32 seed = 0; seed < 32; ++seed) {
+        Lcg rng(seed + 2000);
+        ShaderProgram prog = makeRandomProgram(rng);
+        for (Instruction& ins : prog.code) {
+            if (opcodeInfo(ins.op).isTexture)
+                ins.op = Opcode::TXB;
+        }
+        analyzeProgram(prog);
+        const ConstantBank constants =
+            ShaderEmulator::makeConstants(prog);
+        const DecodedProgram decoded = DecodedProgram::decode(prog);
+        const std::array<ShaderThreadState, 4> quad = randomQuad(rng);
+
+        for (const u32 liveMask : {0x3u, 0x6u, 0x9u, 0xeu, 0xfu}) {
+            std::array<bool, 4> startDone{};
+            for (u32 l = 0; l < 4; ++l)
+                startDone[l] = !(liveMask & (1u << l));
+
+            std::array<ShaderThreadState, 4> stepped = quad;
+            std::array<bool, 4> stepDone = startDone;
+            for (u32 guard = 0;; ++guard) {
+                ASSERT_LT(guard, 65536u) << "seed " << seed;
+                const QuadStepResult r = emulator.stepQuad(
+                    decoded, constants, stepped, stepDone);
+                if (r.outcome == StepOutcome::Done)
+                    break;
+                if (r.outcome != StepOutcome::TexRequest)
+                    continue;
+                u8 live = 0;
+                for (u32 l = 0; l < 4; ++l) {
+                    if (!stepDone[l])
+                        live |= static_cast<u8>(1u << l);
+                }
+                emulator.completeTextureQuad(
+                    decoded, stepped, stepDone,
+                    sampler(r.texUnit, r.texTarget, r.texCoords, live,
+                            r.texLodBias, r.texProjected));
+            }
+
+            std::array<ShaderThreadState, 4> ran = quad;
+            std::array<bool, 4> runDone = startDone;
+            std::array<bool, 4> killed{};
+            emulator.runQuad(decoded, constants, ran, runDone, killed,
+                             sampler);
+
+            for (u32 l = 0; l < 4; ++l)
+                expectLaneEqual(stepped[l], ran[l], seed, l);
         }
     }
 }

@@ -9,6 +9,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <numeric>
 #include <thread>
 #include <vector>
 
@@ -276,6 +277,29 @@ TEST(EventTrace, GpuAggregatesMatchStats)
     for (const std::string& m : mismatches)
         ADD_FAILURE() << m;
     EXPECT_GT(series.counts.size(), 100u);
+
+    // Credits are counted tokens, not objects, yet every token is one
+    // SignalWrite: each credit wire's trace count must equal its write
+    // statistic.  crossCheckStats only visits series the trace
+    // produced, so this also catches a wire that emitted nothing.
+    u64 allCredits = 0;
+    for (const std::string& name :
+         gpu.simulator().binder().signalNames()) {
+        if (!name.ends_with(".credit"))
+            continue;
+        const std::string key = "signal." + name + ".writes";
+        const Statistic* writes = gpu.stats().find(key);
+        ASSERT_NE(writes, nullptr) << key;
+        const auto it = series.counts.find(key);
+        const u64 traced =
+            it == series.counts.end()
+                ? 0
+                : std::accumulate(it->second.begin(),
+                                  it->second.end(), u64{0});
+        EXPECT_EQ(traced, writes->total()) << key;
+        allCredits += writes->total();
+    }
+    EXPECT_GT(allCredits, 0u);
 }
 
 TEST(EventTrace, SerialAndParallelAggregateIdentically)

@@ -1,7 +1,7 @@
 /**
  * @file
- * System-level tests: the statistics CSV output of a whole-GPU run,
- * signal tracing, hot start on the timing simulator, and failure
+ * System-level tests: the statistics CSV output and the event trace
+ * of a whole-GPU run, hot start on the timing simulator, and failure
  * injection (the model's verification checks must fire loudly).
  */
 
@@ -14,7 +14,7 @@
 #include "gl/context.hh"
 #include "gl/trace.hh"
 #include "gpu/gpu.hh"
-#include "sim/signal_trace.hh"
+#include "sim/event_trace.hh"
 #include "workloads/cubes.hh"
 #include "workloads/shadows.hh"
 
@@ -90,59 +90,39 @@ TEST(System, StatisticsCsvFromFullRun)
     }
 }
 
-TEST(System, SignalTraceFromFullRun)
+TEST(System, EventTraceFromFullRun)
 {
-    const std::string path = "test_system_trace.tmp";
     auto params = tinyParams();
     workloads::CubesWorkload scene(params);
     const auto commands = record(scene, nullptr, params);
 
-    // signal.<credit wire>.writes totals, read while the Gpu lives.
-    std::map<std::string, u64> creditWrites;
-    {
-        gpu::GpuConfig config;
-        config.memorySize = 16u << 20;
-        config.signalTracePath = path;
-        gpu::Gpu gpu(config);
-        gpu.submit(commands);
-        ASSERT_TRUE(gpu.runUntilIdle(50'000'000));
-        gpu.simulator().tracer()->flush();
-        EXPECT_GT(gpu.simulator().tracer()->recordCount(), 100u);
-        for (const std::string& name :
-             gpu.simulator().binder().signalNames()) {
-            if (!name.ends_with(".credit"))
-                continue;
-            const sim::Statistic* writes =
-                gpu.stats().find("signal." + name + ".writes");
-            ASSERT_NE(writes, nullptr) << name;
-            creditWrites[name] = writes->total();
-        }
-    }
+    gpu::GpuConfig config;
+    config.memorySize = 16u << 20;
+    config.eventTrace = true;
+    gpu::Gpu gpu(config);
+    gpu.submit(commands);
+    ASSERT_TRUE(gpu.runUntilIdle(50'000'000));
+    const sim::EventTraceData trace =
+        gpu.simulator().finishEventTrace();
 
-    sim::SignalTraceReader reader(path);
-    EXPECT_GT(reader.records().size(), 100u);
-    // Credits are counted tokens, not objects, but every token still
-    // leaves exactly one text-trace record: per credit wire the
-    // record count equals the write statistic.
-    ASSERT_FALSE(creditWrites.empty());
-    u64 allCredits = 0;
-    for (const auto& [name, writes] : creditWrites) {
-        EXPECT_EQ(reader.activity(name, 0, ~0ull >> 1), writes)
-            << name;
-        allCredits += writes;
+    // Per-signal SignalWrite counts, plus whether any fragment tile
+    // still points back at its triangle through the parent cookie.
+    std::map<std::string, u64> writes;
+    bool foundLineage = false;
+    u64 records = 0;
+    for (const sim::TraceEvent& e : trace.events) {
+        if (e.kind != static_cast<u16>(sim::EventKind::SignalWrite))
+            continue;
+        ++records;
+        const std::string& name = trace.signals[e.unit];
+        ++writes[name];
+        if (name == "fgen.hz" && e.parent != sim::kNoTraceId)
+            foundLineage = true;
     }
-    EXPECT_GT(allCredits, 0u);
+    EXPECT_GT(records, 100u);
     // The vertex path must show activity.
-    EXPECT_GT(reader.activity("streamer.assembly", 0, ~0ull >> 1),
-              0u);
-    // Cookie trails associate fragments back to their batch.
-    bool foundTrail = false;
-    for (const auto& rec : reader.records()) {
-        if (rec.signal == "fgen.hz" && !rec.trail.empty())
-            foundTrail = true;
-    }
-    EXPECT_TRUE(foundTrail);
-    std::remove(path.c_str());
+    EXPECT_GT(writes["streamer.assembly"], 0u);
+    EXPECT_TRUE(foundLineage);
 }
 
 TEST(System, HotStartMatchesFullRunOnSimulator)
