@@ -1,5 +1,7 @@
 #include "gpu/fragment_fifo.hh"
 
+#include <algorithm>
+
 #include "gpu/framebuffer.hh"
 
 namespace attila::gpu
@@ -74,10 +76,7 @@ bool
 FragmentFifo::admit(Entry&& entry)
 {
     if (entry.kind != EntryKind::Marker) {
-        const bool vertexClass =
-            entry.kind == EntryKind::VertexGroup &&
-            !_config.unifiedShaders;
-        if (vertexClass) {
+        if (issueClass(entry) == VertexClass) {
             // Dedicated vertex pool (threads checked at issue).
             if (_usedVertexRegisters + entry.registers >
                 _config.vertexShaderRegisters) {
@@ -101,17 +100,43 @@ FragmentFifo::admit(Entry&& entry)
         }
     }
 
-    const u64 id = _nextEntryId++;
-    entry.id = id;
-    if (entry.kind == EntryKind::VertexGroup) {
-        _vertexChain.push_back(id);
-    } else {
-        _fragmentChain.push_back(id);
+    const Chain c = entry.kind == EntryKind::VertexGroup
+                        ? VertexChain
+                        : FragmentChain;
+    ChainQueue& chain = _chains[c];
+    entry.id = (chain.base + chain.entries.size()) * NumChains + c;
+    if (entry.kind != EntryKind::Marker) {
+        _issueOrder.push_back(entry.id);
+        ++_waiting[issueClass(entry)];
     }
-    if (entry.kind != EntryKind::Marker)
-        _issueOrder.push_back(id);
-    _entries.emplace(id, std::move(entry));
+    chain.entries.push_back(std::move(entry));
     return true;
+}
+
+FragmentFifo::Entry*
+FragmentFifo::findEntry(u64 id)
+{
+    ChainQueue& chain = _chains[id % NumChains];
+    const u64 seq = id / NumChains;
+    if (seq < chain.base || seq - chain.base >= chain.entries.size())
+        return nullptr;
+    return &chain.entries.at(seq - chain.base);
+}
+
+FragmentFifo::IssueClass
+FragmentFifo::issueClass(const Entry& entry) const
+{
+    return entry.kind == EntryKind::VertexGroup &&
+                   !_config.unifiedShaders
+               ? VertexClass
+               : SharedClass;
+}
+
+void
+FragmentFifo::popChain(ChainQueue& chain)
+{
+    chain.entries.pop_front();
+    ++chain.base;
 }
 
 void
@@ -136,7 +161,9 @@ FragmentFifo::acceptVertices(Cycle cycle)
 
         Entry entry;
         entry.kind = EntryKind::VertexGroup;
-        entry.vertices = _pendingGroup;
+        entry.numVertices = lanes;
+        std::copy(_pendingGroup.begin(), _pendingGroup.end(),
+                  entry.vertices.begin());
         entry.inputs = lanes;
         entry.registers = state.vertexProgram->numTemps * lanes;
         if (!admit(std::move(entry))) {
@@ -151,12 +178,14 @@ FragmentFifo::acceptVertices(Cycle cycle)
     // Flush a partial group when the input ran dry (batch ends).
     if (!_pendingGroup.empty() && !_vertexArrivedThisCycle) {
         const RenderState& state = *_pendingGroup.front()->state;
+        const u32 size = static_cast<u32>(_pendingGroup.size());
         Entry entry;
         entry.kind = EntryKind::VertexGroup;
-        entry.vertices = _pendingGroup;
-        entry.inputs = static_cast<u32>(_pendingGroup.size());
-        entry.registers = state.vertexProgram->numTemps *
-                          static_cast<u32>(_pendingGroup.size());
+        entry.numVertices = size;
+        std::copy(_pendingGroup.begin(), _pendingGroup.end(),
+                  entry.vertices.begin());
+        entry.inputs = size;
+        entry.registers = state.vertexProgram->numTemps * size;
         if (admit(std::move(entry)))
             _pendingGroup.clear();
     }
@@ -202,23 +231,13 @@ FragmentFifo::issue(Cycle cycle)
     // Strict in-order issue, skipping only across classes: a stuck
     // fragment thread must not idle the dedicated vertex units.
     u32 scanned = 0;
-    for (auto it = _issueOrder.begin();
-         it != _issueOrder.end() && scanned < 8;) {
+    // Entries of each class passed over (blocked) so far this cycle.
+    u32 skipped[2] = {0, 0};
+    for (std::size_t i = 0; i < _issueOrder.size() && scanned < 8;) {
         ++scanned;
-        auto entryIt = _entries.find(*it);
-        if (entryIt == _entries.end()) {
-            it = _issueOrder.erase(it);
-            continue;
-        }
-        Entry& entry = entryIt->second;
-        if (entry.status != EntryStatus::Waiting) {
-            it = _issueOrder.erase(it);
-            continue;
-        }
-
-        const bool vertexClass =
-            entry.kind == EntryKind::VertexGroup &&
-            !_config.unifiedShaders;
+        Entry& entry = *findEntry(_issueOrder.at(i));
+        const IssueClass cls = issueClass(entry);
+        const bool vertexClass = cls == VertexClass;
         const u32 unitBase = vertexClass ? _numUnits : 0;
         const u32 unitCount = vertexClass ? _numVertexUnits
                                           : _numUnits;
@@ -245,24 +264,15 @@ FragmentFifo::issue(Cycle cycle)
         if (best < 0) {
             // In-order within the class: stop at the first entry of
             // this class that cannot issue, but let the other class
-            // proceed.
-            bool otherClassAhead = false;
-            for (auto jt = std::next(it); jt != _issueOrder.end();
-                 ++jt) {
-                auto other = _entries.find(*jt);
-                if (other == _entries.end())
-                    continue;
-                const bool ov =
-                    other->second.kind == EntryKind::VertexGroup &&
-                    !_config.unifiedShaders;
-                if (ov != vertexClass) {
-                    otherClassAhead = true;
-                    break;
-                }
-            }
-            if (!otherClassAhead)
+            // proceed.  Every Waiting entry is in _issueOrder, and
+            // those before this one were issued or skipped, so the
+            // other class has entries behind this one exactly when
+            // not all of its waiting entries were skipped.
+            ++skipped[cls];
+            const u32 other = cls ^ 1;
+            if (_waiting[other] == skipped[other])
                 return;
-            ++it;
+            ++i;
             continue;
         }
 
@@ -279,10 +289,10 @@ FragmentFifo::issue(Cycle cycle)
             }
         } else {
             work->target = emu::ShaderTarget::Vertex;
-            work->state = entry.vertices.front()->state;
-            work->batchId = entry.vertices.front()->batchId;
-            work->copyTrailFrom(*entry.vertices.front());
-            for (u32 l = 0; l < entry.vertices.size(); ++l) {
+            work->state = entry.vertices[0]->state;
+            work->batchId = entry.vertices[0]->batchId;
+            work->copyTrailFrom(*entry.vertices[0]);
+            for (u32 l = 0; l < entry.numVertices; ++l) {
                 work->active[l] = true;
                 work->in[l] = entry.vertices[l]->in;
             }
@@ -294,7 +304,8 @@ FragmentFifo::issue(Cycle cycle)
         _toShader[best]->send(cycle, work);
         _statThreadsIssued.inc();
         ++_issueRr;
-        it = _issueOrder.erase(it);
+        --_waiting[cls];
+        _issueOrder.remove_at(i);
     }
 }
 
@@ -304,11 +315,11 @@ FragmentFifo::collectResults(Cycle cycle)
     for (auto& rx : _fromShader) {
         while (!rx->empty()) {
             ShaderWorkObjPtr work = rx->pop(cycle);
-            auto it = _entries.find(work->entryId);
-            if (it == _entries.end())
+            Entry* found = findEntry(work->entryId);
+            if (!found)
                 panic("FragmentFIFO: result for unknown entry ",
                       work->entryId);
-            Entry& entry = it->second;
+            Entry& entry = *found;
             entry.status = EntryStatus::Completed;
             --_unitLoad[entry.shaderUnit];
 
@@ -320,7 +331,7 @@ FragmentFifo::collectResults(Cycle cycle)
                 }
                 entry.quad->shaded = true;
             } else {
-                for (u32 l = 0; l < entry.vertices.size(); ++l)
+                for (u32 l = 0; l < entry.numVertices; ++l)
                     entry.vertices[l]->out = work->out[l];
             }
         }
@@ -332,22 +343,17 @@ FragmentFifo::commitVertices(Cycle cycle)
 {
     // Drain the send queue first (link bandwidth 1).
     while (!_vertexSendQueue.empty() && _vertexOut.canSend(cycle)) {
-        _vertexOut.send(cycle, _vertexSendQueue.front());
-        _vertexSendQueue.pop_front();
+        _vertexOut.send(cycle, _vertexSendQueue.pop_front());
         _statVerticesCommitted.inc();
     }
 
-    while (!_vertexChain.empty() && _vertexSendQueue.size() < 8) {
-        auto it = _entries.find(_vertexChain.front());
-        if (it == _entries.end()) {
-            _vertexChain.pop_front();
-            continue;
-        }
-        Entry& entry = it->second;
+    ChainQueue& chain = _chains[VertexChain];
+    while (!chain.entries.empty() && _vertexSendQueue.size() < 8) {
+        Entry& entry = chain.entries.front();
         if (entry.status != EntryStatus::Completed)
             return;
-        for (const VertexObjPtr& v : entry.vertices)
-            _vertexSendQueue.push_back(v);
+        for (u32 l = 0; l < entry.numVertices; ++l)
+            _vertexSendQueue.push_back(entry.vertices[l]);
         // Free resources.
         if (!_config.unifiedShaders) {
             _usedVertexRegisters -= entry.registers;
@@ -355,22 +361,17 @@ FragmentFifo::commitVertices(Cycle cycle)
             _usedInputs -= entry.inputs;
             _usedRegisters -= entry.registers;
         }
-        _entries.erase(it);
-        _vertexChain.pop_front();
+        popChain(chain);
     }
 }
 
 void
 FragmentFifo::commitFragments(Cycle cycle)
 {
+    ChainQueue& chain = _chains[FragmentChain];
     u32 committed = 0;
-    while (!_fragmentChain.empty() && committed < 4) {
-        auto it = _entries.find(_fragmentChain.front());
-        if (it == _entries.end()) {
-            _fragmentChain.pop_front();
-            continue;
-        }
-        Entry& entry = it->second;
+    while (!chain.entries.empty() && committed < 4) {
+        Entry& entry = chain.entries.front();
         if (entry.status != EntryStatus::Completed)
             return;
 
@@ -389,8 +390,7 @@ FragmentFifo::commitFragments(Cycle cycle)
                 l->send(cycle, entry.quad);
             for (auto& l : _toRopzLate)
                 l->send(cycle, entry.quad);
-            _entries.erase(it);
-            _fragmentChain.pop_front();
+            popChain(chain);
             ++committed;
             continue;
         }
@@ -408,8 +408,7 @@ FragmentFifo::commitFragments(Cycle cycle)
         }
         _usedInputs -= entry.inputs;
         _usedRegisters -= entry.registers;
-        _entries.erase(it);
-        _fragmentChain.pop_front();
+        popChain(chain);
         _statQuadsCommitted.inc();
         ++committed;
     }
@@ -430,7 +429,8 @@ FragmentFifo::update(Cycle cycle)
     for (auto& l : _toRopzLate)
         l->clock(cycle);
 
-    if (!_entries.empty())
+    if (!_chains[VertexChain].entries.empty() ||
+        !_chains[FragmentChain].entries.empty())
         _statBusy.inc();
 
     collectResults(cycle);
@@ -444,7 +444,8 @@ FragmentFifo::update(Cycle cycle)
 bool
 FragmentFifo::empty() const
 {
-    return _entries.empty() && _vertexIn.empty() &&
+    return _chains[VertexChain].entries.empty() &&
+           _chains[FragmentChain].entries.empty() && _vertexIn.empty() &&
            _fragmentIn.empty() && _pendingGroup.empty() &&
            _vertexSendQueue.empty();
 }

@@ -17,18 +17,21 @@
  * any ready thread) with in-order *commit*; the alternative
  * "shader input queue" mode of the Fig 7 experiment keeps the same
  * structure but restricts the shader units to their oldest thread.
+ *
+ * Entries only leave the window from the head of their commit
+ * chain, so each chain stores its entries in order in a ring, and an
+ * entry's id encodes its chain and its sequence within the chain:
+ * finding the entry a shader result belongs to is index arithmetic.
  */
 
 #ifndef ATTILA_GPU_FRAGMENT_FIFO_HH
 #define ATTILA_GPU_FRAGMENT_FIFO_HH
 
-#include <deque>
-#include <map>
-
 #include "gpu/gpu_config.hh"
 #include "gpu/link.hh"
 #include "gpu/shader_unit.hh"
 #include "sim/box.hh"
+#include "sim/ring_queue.hh"
 
 namespace attila::gpu
 {
@@ -59,11 +62,33 @@ class FragmentFifo : public sim::Box
         u32 inputs = 0;    ///< Window cost in shader inputs.
         u32 registers = 0; ///< Temp registers reserved.
         u32 shaderUnit = 0;
-        std::vector<VertexObjPtr> vertices;
+        u32 numVertices = 0;
+        std::array<VertexObjPtr, 4> vertices; ///< A vertex group.
         QuadObjPtr quad;
         ShaderWorkObjPtr work;
     };
 
+    /** Commit chains: vertex groups, and fragment quads + markers. */
+    enum Chain : u32 { VertexChain = 0, FragmentChain = 1, NumChains };
+
+    /**
+     * One commit chain's entries in admission order.  The entry with
+     * chain sequence s sits at entries.at(s - base); its id is
+     * s * NumChains + chain.
+     */
+    struct ChainQueue
+    {
+        sim::RingQueue<Entry> entries;
+        u64 base = 0; ///< Chain sequence of entries.front().
+    };
+
+    /** Issue classes: threads for the dedicated vertex units of the
+     * non-unified model, and threads for the (unified) shaders. */
+    enum IssueClass : u32 { SharedClass = 0, VertexClass = 1 };
+
+    Entry* findEntry(u64 id);
+    IssueClass issueClass(const Entry& entry) const;
+    void popChain(ChainQueue& chain);
     void acceptVertices(Cycle cycle);
     void acceptFragments(Cycle cycle);
     bool admit(Entry&& entry);
@@ -86,11 +111,11 @@ class FragmentFifo : public sim::Box
     std::vector<std::unique_ptr<LinkTx>> _toRopc;
     std::vector<std::unique_ptr<LinkTx>> _toRopzLate;
 
-    std::map<u64, Entry> _entries;
-    std::deque<u64> _vertexChain;   ///< Commit order.
-    std::deque<u64> _fragmentChain;
-    std::deque<u64> _issueOrder;    ///< Issue (arrival) order.
-    u64 _nextEntryId = 1;
+    ChainQueue _chains[NumChains];
+    /** Ids of the Waiting entries, in admission order. */
+    sim::RingQueue<u64> _issueOrder;
+    /** Waiting entries per issue class. */
+    u32 _waiting[2] = {0, 0};
 
     u32 _usedInputs = 0;
     u32 _usedRegisters = 0;
@@ -103,7 +128,7 @@ class FragmentFifo : public sim::Box
     bool _vertexArrivedThisCycle = false;
 
     /** Committed vertices waiting for the (narrower) output link. */
-    std::deque<VertexObjPtr> _vertexSendQueue;
+    sim::RingQueue<VertexObjPtr> _vertexSendQueue;
 
     sim::Statistic& _statThreadsIssued;
     sim::Statistic& _statQuadsCommitted;

@@ -18,6 +18,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 #include <unistd.h>
 
@@ -259,10 +260,35 @@ applyCompositeKeys(GpuConfig& c, const sim::ConfigFile& cfg)
     (void)DramTiming::parse(c.dramTiming);
 }
 
+/**
+ * Reject 0 for the queue and window sizes that the model divides by
+ * or can never make progress without: a zero-slot Streamer ring, an
+ * empty fetch, shader or texture window stalls the pipeline forever.
+ */
+void
+checkNonZeroKeys(const GpuConfig& c, const sim::ConfigFile& cfg)
+{
+    const std::pair<const char*, u32> keys[] = {
+        {"geometry.streamerQueue", c.streamerQueue},
+        {"geometry.vertexRequestQueue", c.vertexRequestQueue},
+        {"shader.inputsInFlight", c.shaderInputsInFlight},
+        {"shader.registers", c.shaderRegisters},
+        {"texture.requestQueue", c.textureRequestQueue},
+    };
+    for (const auto& [key, value] : keys) {
+        const sim::ConfigFile::Entry* e = cfg.find(key);
+        if (e && value == 0) {
+            throw sim::ConfigError("config: " + e->origin + ": key '" +
+                                   key + "': must be at least 1");
+        }
+    }
+}
+
 void
 applyConfig(GpuConfig& c, const sim::ConfigFile& cfg)
 {
     visitConfigFields(c, Loader{cfg});
+    checkNonZeroKeys(c, cfg);
     applyCompositeKeys(c, cfg);
     cfg.failOnUnconsumed("GpuConfig");
 }

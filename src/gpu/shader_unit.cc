@@ -53,9 +53,9 @@ ShaderUnit::acceptWork(Cycle cycle)
         } else {
             slot = static_cast<u32>(_threadPool.size());
             _threadPool.emplace_back();
+            _sched.emplace_back();
         }
         Thread& thread = _threadPool[slot];
-        thread.order = _orderCounter++;
         thread.work = std::move(work);
         const RenderState& state = *thread.work->state;
         const bool vertex =
@@ -72,11 +72,8 @@ ShaderUnit::acceptWork(Cycle cycle)
             thread.lanes[l].in = thread.work->in[l];
             thread.laneDone[l] = !thread.work->active[l];
         }
-        thread.waitingTexture = false;
-        thread.finished = false;
         thread.tempReady.fill(0);
-        thread.epoch = 1;
-        thread.depsEpoch = 0;
+        _sched[slot] = ThreadSched{thread.work->entryId};
         _activeSlots.push_back(slot);
         _statThreads.inc();
         if constexpr (sim::kEventTraceCompiled) {
@@ -98,11 +95,12 @@ ShaderUnit::handleTexResponses(Cycle cycle)
             TexRequestPtr resp = rx->pop(cycle);
             bool found = false;
             for (const u32 slot : _activeSlots) {
-                Thread& thread = _threadPool[slot];
-                if (thread.work->entryId != resp->threadTag ||
-                    !thread.waitingTexture) {
+                ThreadSched& sched = _sched[slot];
+                if (sched.entryId != resp->threadTag ||
+                    !sched.waitingTexture) {
                     continue;
                 }
+                Thread& thread = _threadPool[slot];
                 u32 pc = 0;
                 for (u32 l = 0; l < 4; ++l) {
                     if (!thread.laneDone[l]) {
@@ -121,8 +119,8 @@ ShaderUnit::handleTexResponses(Cycle cycle)
                 if (dstTemp >= 0)
                     thread.tempReady[static_cast<u32>(dstTemp)] =
                         cycle + 1;
-                thread.waitingTexture = false;
-                ++thread.epoch;
+                sched.waitingTexture = false;
+                sched.depsStale = true;
                 found = true;
                 break;
             }
@@ -160,38 +158,38 @@ ShaderUnit::computeReadyAt(const Thread& thread) const
 }
 
 bool
-ShaderUnit::dependenciesReady(const Thread& thread,
-                              Cycle cycle) const
+ShaderUnit::dependenciesReady(u32 slot, Cycle cycle)
 {
     // "Ready at cycle c" was: no source temp has tempReady > c,
     // i.e. c >= max(tempReady over sources).  That maximum only
-    // moves when the pc, laneDone or scoreboard change — all bump
-    // the thread's epoch — so it is computed once per epoch and the
+    // moves when the pc, laneDone or scoreboard change — all mark
+    // the memo stale — so it is computed once per change and the
     // per-cycle check collapses to a compare.
-    if (thread.depsEpoch != thread.epoch) {
-        thread.depsReadyAt = computeReadyAt(thread);
-        thread.depsEpoch = thread.epoch;
+    ThreadSched& sched = _sched[slot];
+    if (sched.depsStale) {
+        sched.depsReadyAt = computeReadyAt(_threadPool[slot]);
+        sched.depsStale = false;
     }
-    return cycle >= thread.depsReadyAt;
+    return cycle >= sched.depsReadyAt;
 }
 
-ShaderUnit::Thread*
+s32
 ShaderUnit::selectThread(Cycle cycle)
 {
     if (_activeSlots.empty())
-        return nullptr;
+        return -1;
 
     if (_config.scheduling == ShaderScheduling::InOrderQueue) {
         // Strictly in-order: only the oldest thread may execute.
         // Insertion order is age order, so that is the front.
-        Thread* oldest = &_threadPool[_activeSlots.front()];
-        if (oldest->waitingTexture) {
+        const u32 oldest = _activeSlots.front();
+        if (_sched[oldest].waitingTexture) {
             _statStallTex.inc();
-            return nullptr;
+            return -1;
         }
-        if (!dependenciesReady(*oldest, cycle))
-            return nullptr;
-        return oldest;
+        if (!dependenciesReady(oldest, cycle))
+            return -1;
+        return static_cast<s32>(oldest);
     }
 
     // Thread window: round-robin among ready threads — the first
@@ -199,27 +197,28 @@ ShaderUnit::selectThread(Cycle cycle)
     // before it (a circular scan, stopping at the first match).
     const u32 n = static_cast<u32>(_activeSlots.size());
     const u32 start = _rrNext % n;
-    Thread* candidate = nullptr;
+    s32 candidate = -1;
     bool anyTexWait = false;
     for (u32 k = 0; k < n; ++k) {
         u32 pos = start + k;
         if (pos >= n)
             pos -= n;
-        Thread& thread = _threadPool[_activeSlots[pos]];
-        if (thread.waitingTexture) {
+        const u32 slot = _activeSlots[pos];
+        const ThreadSched& sched = _sched[slot];
+        if (sched.waitingTexture) {
             anyTexWait = true;
             continue;
         }
-        if (thread.finished)
+        if (sched.finished)
             continue;
-        if (!dependenciesReady(thread, cycle))
+        if (!dependenciesReady(slot, cycle))
             continue;
-        candidate = &thread;
+        candidate = static_cast<s32>(slot);
         break;
     }
     // No candidate means the scan visited every thread, so
     // anyTexWait is complete exactly when it is needed.
-    if (!candidate && anyTexWait)
+    if (candidate < 0 && anyTexWait)
         _statStallTex.inc();
     ++_rrNext;
     return candidate;
@@ -239,12 +238,14 @@ ShaderUnit::sendResult(Cycle cycle, Thread& thread)
 }
 
 void
-ShaderUnit::execute(Cycle cycle, Thread& thread)
+ShaderUnit::execute(Cycle cycle, u32 slot)
 {
+    Thread& thread = _threadPool[slot];
+    ThreadSched& sched = _sched[slot];
     for (u32 n = 0; n < _config.shaderFetchRate; ++n) {
-        if (thread.waitingTexture || thread.finished)
+        if (sched.waitingTexture || sched.finished)
             return;
-        if (!dependenciesReady(thread, cycle))
+        if (!dependenciesReady(slot, cycle))
             return;
 
         // Reference lane for control decisions.
@@ -256,7 +257,7 @@ ShaderUnit::execute(Cycle cycle, Thread& thread)
             }
         }
         if (ref < 0) {
-            thread.finished = true;
+            sched.finished = true;
             return;
         }
 
@@ -291,8 +292,8 @@ ShaderUnit::execute(Cycle cycle, Thread& thread)
             link.send(cycle, req);
             _tuNext = (_tuNext + 1) %
                       std::max<std::size_t>(1, _texReq.size());
-            thread.waitingTexture = true;
-            ++thread.epoch;
+            sched.waitingTexture = true;
+            sched.depsStale = true;
             _statTexRequests.inc();
             _statInstructions.inc();
             return;
@@ -306,9 +307,9 @@ ShaderUnit::execute(Cycle cycle, Thread& thread)
             thread.tempReady[static_cast<u32>(d.dstTempIndex)] =
                 cycle + qs.latency;
         }
-        ++thread.epoch;
+        sched.depsStale = true;
         if (qs.outcome == StepOutcome::Done) {
-            thread.finished = true;
+            sched.finished = true;
             return;
         }
     }
@@ -329,15 +330,15 @@ ShaderUnit::update(Cycle cycle)
 
     // Retire finished threads (one per cycle).
     for (u32 i = 0; i < _activeSlots.size(); ++i) {
-        Thread& thread = _threadPool[_activeSlots[i]];
-        if (thread.finished) {
+        const u32 slot = _activeSlots[i];
+        if (_sched[slot].finished) {
+            Thread& thread = _threadPool[slot];
             if (sendResult(cycle, thread)) {
                 if constexpr (sim::kEventTraceCompiled) {
                     if (_evtTrace) [[unlikely]] {
                         _evtTrace->emit(
                             sim::EventKind::ThreadEnd, cycle,
-                            _evtShaderId, _activeSlots[i],
-                            thread.work->id(),
+                            _evtShaderId, slot, thread.work->id(),
                             sim::traceParentOf(*thread.work));
                     }
                 }
@@ -345,16 +346,17 @@ ShaderUnit::update(Cycle cycle)
                 thread.work.reset();
                 thread.constants = nullptr;
                 thread.decoded = nullptr;
-                _freeThreads.push_back(_activeSlots[i]);
+                _freeThreads.push_back(slot);
                 _activeSlots.erase(_activeSlots.begin() + i);
             }
             break;
         }
     }
 
-    if (Thread* thread = selectThread(cycle)) {
+    const s32 slot = selectThread(cycle);
+    if (slot >= 0) {
         _statBusy.inc();
-        execute(cycle, *thread);
+        execute(cycle, static_cast<u32>(slot));
     }
 }
 

@@ -74,9 +74,10 @@ class ShaderUnit : public sim::Box
     }
 
   private:
+    /** A thread's register state and program; ~4.5 KB, touched
+     * only when the thread executes or a texture result lands. */
     struct Thread
     {
-        u64 order = 0; ///< Age (for in-order scheduling).
         ShaderWorkObjPtr work;
         /** Pre-decoded program.  Stable: the cache entry pins the
          * source program for its own lifetime. */
@@ -84,25 +85,31 @@ class ShaderUnit : public sim::Box
         const emu::ConstantBank* constants = nullptr;
         std::array<emu::ShaderThreadState, 4> lanes;
         std::array<bool, 4> laneDone{};
-        bool waitingTexture = false;
-        bool finished = false;
         /** Scoreboard: cycle each temp register becomes readable. */
         std::array<Cycle, emu::regix::numTempRegs> tempReady{};
+    };
 
-        /** Host-side change counter: bumped whenever the pc,
-         * laneDone or scoreboard changes, so the dependency check
-         * below can be memoized per epoch. */
-        u64 epoch = 1;
-        mutable u64 depsEpoch = 0;
-        mutable Cycle depsReadyAt = 0;
+    /** A thread's scheduling state, kept apart from its registers
+     * so the per-cycle scans read a few bytes per thread. */
+    struct ThreadSched
+    {
+        u64 entryId = 0; ///< The work's Fragment FIFO entry.
+        /** Memo of computeReadyAt(): the cycle the next
+         * instruction's source temps are readable.  Stale whenever
+         * the pc, laneDone or scoreboard changed since. */
+        Cycle depsReadyAt = 0;
+        bool depsStale = true;
+        bool waitingTexture = false;
+        bool finished = false;
     };
 
     void acceptWork(Cycle cycle);
     void handleTexResponses(Cycle cycle);
-    Thread* selectThread(Cycle cycle);
-    void execute(Cycle cycle, Thread& thread);
+    /** The slot of the thread to run this cycle, or -1. */
+    s32 selectThread(Cycle cycle);
+    void execute(Cycle cycle, u32 slot);
     bool sendResult(Cycle cycle, Thread& thread);
-    bool dependenciesReady(const Thread& thread, Cycle cycle) const;
+    bool dependenciesReady(u32 slot, Cycle cycle);
     Cycle computeReadyAt(const Thread& thread) const;
 
     const GpuConfig& _config;
@@ -119,14 +126,14 @@ class ShaderUnit : public sim::Box
     /** Thread storage: a never-shrinking deque of slots recycled
      * through a free list (a Thread is ~4.5 KB of register state —
      * per-thread heap churn and node hops are host-side waste).
-     * `_activeSlots` lists the live slots in insertion order, which
-     * is exactly the old std::list iteration order the round-robin
-     * scheduling is defined over. */
+     * `_sched[slot]` is the slot's scheduling state.  `_activeSlots`
+     * lists the live slots in insertion (age) order, the order the
+     * round-robin scheduling is defined over. */
     std::deque<Thread> _threadPool;
+    std::vector<ThreadSched> _sched;
     std::vector<u32> _freeThreads;
     std::vector<u32> _activeSlots;
     sim::ObjectPool<TexRequest> _texPool;
-    u64 _orderCounter = 0;
     u32 _rrNext = 0;
     u32 _tuNext = 0;
 

@@ -1,6 +1,7 @@
 #include "gpu/streamer.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 namespace attila::gpu
@@ -33,34 +34,50 @@ Streamer::Streamer(sim::SignalBinder& binder,
                      config.primitiveAssemblyQueue);
     _mem.init(*this, binder, "mc.streamer",
               config.memoryRequestQueue);
+    _slots.resize(config.streamerQueue);
+    _cacheIndex.resize(config.vertexCacheEntries);
+    _cacheOut.resize(config.vertexCacheEntries);
 }
 
-const Streamer::CacheEntry*
+Streamer::Slot*
+Streamer::liveSlot(u32 seq)
+{
+    if (seq < _committed || seq >= _dispatched)
+        return nullptr;
+    return &_slots[seq % _config.streamerQueue];
+}
+
+const Streamer::OutputRegs*
 Streamer::cacheLookup(u32 index) const
 {
-    for (const CacheEntry& e : _cache) {
-        if (e.index == index)
-            return &e;
+    for (u32 i = 0; i < _cacheCount; ++i) {
+        if (_cacheIndex[i] == index)
+            return &_cacheOut[i];
     }
     return nullptr;
 }
 
 void
-Streamer::cacheInsert(
-    u32 index,
-    const std::array<emu::Vec4, emu::regix::numOutputRegs>& out)
+Streamer::cacheInsert(u32 index, const OutputRegs& out)
 {
     if (_config.vertexCacheEntries == 0)
         return; // Cache disabled (ablation).
-    for (CacheEntry& e : _cache) {
-        if (e.index == index) {
-            e.out = out;
+    for (u32 i = 0; i < _cacheCount; ++i) {
+        if (_cacheIndex[i] == index) {
+            _cacheOut[i] = out;
             return;
         }
     }
-    if (_cache.size() >= _config.vertexCacheEntries)
-        _cache.pop_front();
-    _cache.push_back({index, out});
+    u32 slot;
+    if (_cacheCount < _config.vertexCacheEntries) {
+        slot = _cacheCount++;
+    } else {
+        // Replace the oldest entry.
+        slot = _cacheHead;
+        _cacheHead = (_cacheHead + 1) % _config.vertexCacheEntries;
+    }
+    _cacheIndex[slot] = index;
+    _cacheOut[slot] = out;
 }
 
 emu::Vec4
@@ -100,30 +117,40 @@ Streamer::startBatch(Cycle cycle)
     _dispatched = 0;
     _committed = 0;
     _endSent = false;
-    _indices.clear();
-    _indexChunks.clear();
     _indexChunksRequested = 0;
     // The post-shading cache is only valid within one batch: the
     // next batch may bind a different vertex program or streams.
-    _cache.clear();
+    _cacheCount = 0;
+    _cacheHead = 0;
 
     const RenderState& state = *_batch->state;
-    u32 enabledStreams = 0;
-    for (const VertexStream& vs : state.streams)
-        enabledStreams += vs.enabled ? 1 : 0;
-    if (enabledStreams > 8)
+    _numStreams = 0;
+    for (u32 s = 0; s < maxVertexStreams; ++s) {
+        if (state.streams[s].enabled)
+            _streams[_numStreams++] = static_cast<u8>(s);
+    }
+    if (_numStreams > 8)
         fatal("Streamer: at most 8 enabled vertex streams are"
-              " supported (got ", enabledStreams, ")");
+              " supported (got ", _numStreams, ")");
+    const u32 count = _batch->params.count;
     if (state.indexStream.enabled) {
         const u32 indexBytes = state.indexStream.wide ? 4 : 2;
-        const u32 total = _batch->params.count * indexBytes;
+        const u32 total = count * indexBytes;
         _indexChunksNeeded =
             (total + indexChunkBytes - 1) / indexChunkBytes;
+        // Capacity grows in powers of two, as push_back growth
+        // would: batches of similar size reuse one buffer, and a
+        // freshly built Gpu's heap settles into the same blocks
+        // instead of being trimmed and faulted back in per build.
+        if (_indices.capacity() < count)
+            _indices.reserve(std::bit_ceil(count));
+        _indices.resize(count);
+        _indexChunkArrived.assign(_indexChunksNeeded, 0);
+        _indicesReady = 0;
     } else {
+        // Sequential indices need no data: dispatch derives them.
         _indexChunksNeeded = 0;
-        _indices.reserve(_batch->params.count);
-        for (u32 i = 0; i < _batch->params.count; ++i)
-            _indices.push_back(_batch->params.first + i);
+        _indicesReady = count;
     }
 
     // The BatchStart marker leads the vertex stream so every
@@ -159,63 +186,58 @@ Streamer::handleMemory(Cycle cycle)
     while (_mem.hasResponse()) {
         MemTransactionPtr txn = _mem.popResponse(cycle);
         if (txn->tag >= tagIndexBase) {
-            _indexChunks[static_cast<u32>(txn->tag - tagIndexBase)] =
-                txn->data;
-            // Parse any newly contiguous chunks.
+            const u32 chunk =
+                static_cast<u32>(txn->tag - tagIndexBase);
             const RenderState& state = *_batch->state;
             const u32 indexBytes = state.indexStream.wide ? 4 : 2;
             const u32 perChunk = indexChunkBytes / indexBytes;
-            while (true) {
-                const u32 chunk =
-                    static_cast<u32>(_indices.size()) / perChunk;
-                auto it = _indexChunks.find(chunk);
-                if (it == _indexChunks.end())
-                    break;
-                const std::vector<u8>& bytes = it->second;
-                for (u32 off = 0; off + indexBytes <= bytes.size();
-                     off += indexBytes) {
-                    if (_indices.size() >= _batch->params.count)
-                        break;
-                    u32 idx = 0;
-                    std::memcpy(&idx, bytes.data() + off,
-                                indexBytes);
-                    _indices.push_back(idx);
-                }
-                _indexChunks.erase(it);
+            const u32 count = _batch->params.count;
+            const std::vector<u8>& bytes = txn->data;
+            u32 i = chunk * perChunk;
+            for (u32 off = 0;
+                 off + indexBytes <= bytes.size() && i < count;
+                 off += indexBytes, ++i) {
+                u32 idx = 0;
+                std::memcpy(&idx, bytes.data() + off, indexBytes);
+                _indices[i] = idx;
+            }
+            _indexChunkArrived[chunk] = 1;
+            // Extend the parsed prefix over contiguous chunks.
+            while (_indicesReady < count &&
+                   _indexChunkArrived[_indicesReady / perChunk]) {
+                _indicesReady = std::min(
+                    count, (_indicesReady / perChunk + 1) * perChunk);
             }
         } else {
             // Attribute response: tag = sequence * 16 + stream.
             const u32 seq = static_cast<u32>(txn->tag / 16);
             const u32 stream = static_cast<u32>(txn->tag % 16);
-            auto it = _fetches.find(seq);
-            if (it == _fetches.end())
+            Slot* slot = liveSlot(seq);
+            if (!slot || slot->outstanding == 0)
                 panic("Streamer: attribute response for unknown"
                       " vertex");
-            PendingFetch& fetch = it->second;
             const RenderState& state = *_batch->state;
-            fetch.in[stream] = convertAttribute(
+            slot->in[stream] = convertAttribute(
                 txn->data.data(), state.streams[stream].format,
                 stream);
-            if (--fetch.outstanding == 0) {
+            if (--slot->outstanding == 0) {
                 // Vertex ready for shading.
                 auto v = std::make_shared<VertexObj>();
                 v->batchId = _batch->batchId;
                 v->state = _batch->state;
-                v->index = fetch.index;
-                v->sequence = fetch.sequence;
-                v->in = fetch.in;
+                v->index = slot->index;
+                v->sequence = seq;
+                v->in = slot->in;
                 v->copyTrailFrom(*_batch);
                 _readyForShading.push_back(std::move(v));
-                _fetches.erase(it);
+                --_fetchesInFlight;
             }
         }
     }
 
     // Push ready vertices to the shading crossbar.
-    while (!_readyForShading.empty() && _toShading.canSend(cycle)) {
-        _toShading.send(cycle, _readyForShading.front());
-        _readyForShading.pop_front();
-    }
+    while (!_readyForShading.empty() && _toShading.canSend(cycle))
+        _toShading.send(cycle, _readyForShading.pop_front());
 }
 
 void
@@ -226,30 +248,27 @@ Streamer::dispatchVertices(Cycle cycle)
     // One index per cycle (Table 1).
     if (_dispatched >= _batch->params.count)
         return;
-    if (_dispatched >= _indices.size())
+    if (_dispatched >= _indicesReady)
         return; // Index data not fetched yet.
-    if (_rob.size() >= _config.streamerQueue)
+    if (_dispatched - _committed >= _config.streamerQueue)
         return;
-    if (_fetches.size() >= _config.vertexRequestQueue)
+    if (_fetchesInFlight >= _config.vertexRequestQueue)
         return;
 
-    const RenderState& state = *_batch->state;
-    const u32 index = _indices[_dispatched];
+    const bool indexed = _batch->state->indexStream.enabled;
     const u32 seq = _dispatched;
+    const u32 index =
+        indexed ? _indices[seq] : _batch->params.first + seq;
 
-    RobEntry rob;
-    rob.sequence = seq;
-    rob.index = index;
-
-    const bool indexed = state.indexStream.enabled;
-    const CacheEntry* hit =
-        indexed ? cacheLookup(index) : nullptr;
-    if (hit) {
-        rob.ready = true;
-        rob.cacheHit = true;
-        rob.out = hit->out;
+    if (const OutputRegs* hit =
+            indexed ? cacheLookup(index) : nullptr) {
+        Slot& slot = _slots[seq % _config.streamerQueue];
+        slot.index = index;
+        slot.outstanding = 0;
+        slot.ready = true;
+        slot.cacheHit = true;
+        slot.out = *hit;
         _statCacheHits.inc();
-        _rob.emplace(seq, rob);
         ++_dispatched;
         return;
     }
@@ -260,19 +279,19 @@ Streamer::dispatchVertices(Cycle cycle)
     // memory request queue this cycle; otherwise retry next cycle.
     // (startBatch() already rejected batches with more than 8
     // enabled streams, the request signal's bandwidth.)
-    std::vector<u32> active;
-    for (u32 s = 0; s < maxVertexStreams; ++s) {
-        if (state.streams[s].enabled)
-            active.push_back(s);
-    }
-    if (_mem.requestCredits() < active.size())
+    if (_mem.requestCredits() < _numStreams)
         return;
 
-    PendingFetch fetch;
-    fetch.sequence = seq;
-    fetch.index = index;
+    Slot& slot = _slots[seq % _config.streamerQueue];
+    slot.index = index;
+    slot.outstanding = 0;
+    slot.ready = false;
+    slot.cacheHit = false;
+    slot.in = {}; // Disabled streams read as zero.
 
-    for (u32 s : active) {
+    const RenderState& state = *_batch->state;
+    for (u32 k = 0; k < _numStreams; ++k) {
+        const u32 s = _streams[k];
         const VertexStream& vs = state.streams[s];
         auto txn = _txns.acquire();
         txn->isRead = true;
@@ -284,10 +303,10 @@ Streamer::dispatchVertices(Cycle cycle)
             panic("Streamer: memory request queue exhausted"
                   " mid-vertex");
         _mem.request(cycle, txn);
-        ++fetch.outstanding;
+        ++slot.outstanding;
     }
 
-    if (fetch.outstanding == 0) {
+    if (slot.outstanding == 0) {
         // No enabled streams: shade with default inputs.
         auto v = std::make_shared<VertexObj>();
         v->batchId = _batch->batchId;
@@ -297,9 +316,8 @@ Streamer::dispatchVertices(Cycle cycle)
         v->copyTrailFrom(*_batch);
         _readyForShading.push_back(std::move(v));
     } else {
-        _fetches.emplace(seq, fetch);
+        ++_fetchesInFlight;
     }
-    _rob.emplace(seq, rob);
     ++_dispatched;
     _statVertices.inc();
 }
@@ -309,14 +327,14 @@ Streamer::handleShaded(Cycle cycle)
 {
     while (!_fromShading.empty()) {
         VertexObjPtr v = _fromShading.pop(cycle);
-        auto it = _rob.find(v->sequence);
-        if (it == _rob.end())
+        Slot* slot = liveSlot(v->sequence);
+        if (!slot)
             panic("Streamer: shaded vertex for unknown sequence ",
                   v->sequence);
-        it->second.ready = true;
-        it->second.out = v->out;
+        slot->ready = true;
+        slot->out = v->out;
         if (_batch->state->indexStream.enabled)
-            cacheInsert(it->second.index, v->out);
+            cacheInsert(slot->index, v->out);
     }
 }
 
@@ -340,18 +358,16 @@ Streamer::commit(Cycle cycle)
     }
 
     // One vertex per cycle to Primitive Assembly.
-    auto it = _rob.find(_committed);
-    if (it != _rob.end() && it->second.ready &&
-        _toAssembly.canSend(cycle)) {
+    if (const Slot* slot = liveSlot(_committed);
+        slot && slot->ready && _toAssembly.canSend(cycle)) {
         auto v = std::make_shared<VertexObj>();
         v->batchId = _batch->batchId;
         v->state = _batch->state;
-        v->index = it->second.index;
-        v->sequence = it->second.sequence;
-        v->out = it->second.out;
-        v->fromVertexCache = it->second.cacheHit;
+        v->index = slot->index;
+        v->sequence = _committed;
+        v->out = slot->out;
+        v->fromVertexCache = slot->cacheHit;
         _toAssembly.send(cycle, v);
-        _rob.erase(it);
         ++_committed;
         _statBusy.inc();
     }
@@ -390,8 +406,8 @@ Streamer::update(Cycle cycle)
 bool
 Streamer::empty() const
 {
-    return !_active && _drawIn.empty() && _rob.empty() &&
-           _fetches.empty() && _readyForShading.empty();
+    return !_active && _drawIn.empty() && _committed == _dispatched &&
+           _fetchesInFlight == 0 && _readyForShading.empty();
 }
 
 } // namespace attila::gpu

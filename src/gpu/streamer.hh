@@ -8,14 +8,17 @@
  * A post-shading vertex cache keyed by vertex index lets indexed
  * batches reuse shading results for vertices shared by adjacent
  * triangles.
+ *
+ * All in-flight state is flat: the live sequences of a batch are
+ * always [committed, dispatched), so the reorder buffer and the
+ * attribute fetches share one ring of streamerQueue slots indexed by
+ * sequence % streamerQueue, and the vertex cache is a fixed ring of
+ * vertexCacheEntries (index, outputs) pairs.
  */
 
 #ifndef ATTILA_GPU_STREAMER_HH
 #define ATTILA_GPU_STREAMER_HH
 
-#include <deque>
-#include <list>
-#include <map>
 #include <vector>
 
 #include "gpu/command_processor.hh"
@@ -24,6 +27,7 @@
 #include "gpu/memory_controller.hh"
 #include "sim/box.hh"
 #include "sim/object_pool.hh"
+#include "sim/ring_queue.hh"
 
 namespace attila::gpu
 {
@@ -42,30 +46,19 @@ class Streamer : public sim::Box
     bool busy() const override { return !empty(); }
 
   private:
-    /** Reorder buffer entry: one vertex awaiting commit. */
-    struct RobEntry
-    {
-        u32 sequence = 0;
-        u32 index = 0;
-        bool ready = false;
-        bool cacheHit = false;
-        std::array<emu::Vec4, emu::regix::numOutputRegs> out{};
-    };
+    using OutputRegs =
+        std::array<emu::Vec4, emu::regix::numOutputRegs>;
 
-    /** A vertex whose attributes are being fetched. */
-    struct PendingFetch
+    /** One vertex between dispatch and commit: its reorder buffer
+     * state and, while its attributes load, the fetch state. */
+    struct Slot
     {
-        u32 sequence = 0;
         u32 index = 0;
         u32 outstanding = 0; ///< Attribute transactions in flight.
+        bool ready = false;
+        bool cacheHit = false;
+        OutputRegs out{};
         std::array<emu::Vec4, emu::regix::numInputRegs> in{};
-    };
-
-    /** Post-shading vertex cache entry. */
-    struct CacheEntry
-    {
-        u32 index = 0;
-        std::array<emu::Vec4, emu::regix::numOutputRegs> out;
     };
 
     void startBatch(Cycle cycle);
@@ -76,10 +69,11 @@ class Streamer : public sim::Box
     void commit(Cycle cycle);
     emu::Vec4 convertAttribute(const u8* bytes, StreamFormat fmt,
                                u32 stream) const;
-    const CacheEntry* cacheLookup(u32 index) const;
-    void cacheInsert(u32 index,
-                     const std::array<emu::Vec4,
-                                      emu::regix::numOutputRegs>& out);
+    /** The live slot of @p seq, or nullptr outside
+     * [committed, dispatched). */
+    Slot* liveSlot(u32 seq);
+    const OutputRegs* cacheLookup(u32 index) const;
+    void cacheInsert(u32 index, const OutputRegs& out);
 
     const GpuConfig& _config;
 
@@ -97,24 +91,33 @@ class Streamer : public sim::Box
     u32 _committed = 0;
     bool _endSent = false;
 
+    /** Enabled vertex streams of the current batch. */
+    std::array<u8, maxVertexStreams> _streams{};
+    u32 _numStreams = 0;
+
     // Index data.
-    std::vector<u32> _indices; ///< Parsed indices (prefix).
+    std::vector<u32> _indices; ///< The batch's indices, by sequence.
+    u32 _indicesReady = 0;     ///< Contiguous prefix already parsed.
     u32 _indexChunksRequested = 0;
     u32 _indexChunksNeeded = 0;
-    std::map<u32, std::vector<u8>> _indexChunks;
+    std::vector<u8> _indexChunkArrived;
 
-    // In-flight attribute fetches, keyed by sequence.
-    std::map<u32, PendingFetch> _fetches;
+    /** Reorder buffer and fetch state: slot of sequence s is
+     * _slots[s % streamerQueue]. */
+    std::vector<Slot> _slots;
+    u32 _fetchesInFlight = 0;
 
     // Vertices with all attributes loaded, awaiting a shading slot.
-    std::deque<VertexObjPtr> _readyForShading;
+    sim::RingQueue<VertexObjPtr> _readyForShading;
     bool _startSent = false;
 
-    // Reorder buffer, keyed by sequence.
-    std::map<u32, RobEntry> _rob;
-
-    // Post-shading vertex cache (FIFO replacement).
-    std::list<CacheEntry> _cache;
+    /** Post-shading vertex cache (FIFO replacement).  Entries
+     * [0, _cacheCount) are valid; once full, _cacheHead is the
+     * oldest entry and the next to be replaced. */
+    std::vector<u32> _cacheIndex;
+    std::vector<OutputRegs> _cacheOut;
+    u32 _cacheCount = 0;
+    u32 _cacheHead = 0;
 
     sim::Statistic& _statVertices;
     sim::Statistic& _statCacheHits;

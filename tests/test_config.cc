@@ -279,6 +279,36 @@ TEST(GpuConfigText, BadDramTimingFailsAtLoad)
                  sim::ConfigError);
 }
 
+TEST(GpuConfigText, ZeroQueueSizesAreRejectedWithKeyAndOrigin)
+{
+    // A zero-slot queue or window would stall the pipeline forever
+    // (or divide by zero indexing the Streamer's ring).
+    const char* keys[] = {
+        "geometry.streamerQueue", "geometry.vertexRequestQueue",
+        "shader.inputsInFlight",  "shader.registers",
+        "texture.requestQueue",
+    };
+    for (const char* key : keys) {
+        const std::string k(key);
+        GpuConfig c = GpuConfig::baseline();
+        std::string msg = errorOf(
+            [&] { c.applySet(k + "=0", "--set"); });
+        EXPECT_NE(msg.find("'" + k + "'"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("--set"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("at least 1"), std::string::npos) << msg;
+
+        const std::size_t dot = k.find('.');
+        const std::string text = "[" + k.substr(0, dot) + "]\n" +
+                                 k.substr(dot + 1) + " = 0\n";
+        msg = errorOf([&] { c.applyText(text, "zero.cfg"); });
+        EXPECT_NE(msg.find("zero.cfg:2"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("'" + k + "'"), std::string::npos) << msg;
+
+        // The check is for zero only: one slot loads.
+        EXPECT_NO_THROW(c.applySet(k + "=1"));
+    }
+}
+
 TEST(GpuConfigText, ApplySetOverridesSingleKey)
 {
     GpuConfig c = GpuConfig::baseline();

@@ -46,6 +46,19 @@ constexpr Fingerprint kTerrain{143808, 0x90bd38867d348647ull,
 constexpr Fingerprint kCubes{31872, 0xaba8555c324658ffull,
                               0xbdbb2c34da1e7e05ull};
 
+// Two configs the baseline never runs: the shader units' in-order
+// (shader input queue) scheduling of the Fig 7 case study, and the
+// non-unified model, whose Fragment FIFO issues vertex and fragment
+// threads to separate unit pools.  The non-unified run narrows the
+// vertex pool to one single-thread unit so vertex threads block
+// while fragment threads wait behind them: only then does the
+// Fragment FIFO's "let the other class pass" issue rule change
+// cycles (with four vertex units it never does on this scene).
+constexpr Fingerprint kTerrainInOrder{211200, 0x90bd38867d348647ull,
+                                       0x4035b3f526de7ddbull};
+constexpr Fingerprint kTerrainNonUnified{172352, 0x90bd38867d348647ull,
+                                          0x84dffede8cc01b1eull};
+
 u64
 fnv1a(const void* data, std::size_t size)
 {
@@ -98,13 +111,12 @@ struct Run
 };
 
 Run
-simulate(const gpu::CommandList& commands, gpu::SchedulerKind kind,
-         u32 threads)
+simulate(const gpu::CommandList& commands, gpu::GpuConfig config,
+         gpu::SchedulerKind kind, u32 threads)
 {
-    // The fingerprint is the baseline's: no environment layering.
+    // The fingerprint is the given config's: no environment layering.
     unsetenv("ATTILA_CONFIG");
     unsetenv("ATTILA_CONFIG_SET");
-    gpu::GpuConfig config = gpu::GpuConfig::baseline();
     config.memorySize = 64u << 20;
     config.scheduler = kind;
     config.schedulerThreads = threads;
@@ -142,12 +154,13 @@ expectFingerprint(const Run& run, const Fingerprint& expected,
 
 void
 checkScene(workloads::Workload& workload, const Fingerprint& expected,
-           const char* label, bool parallel)
+           const char* label, bool parallel,
+           const gpu::GpuConfig& config = gpu::GpuConfig::baseline())
 {
     const gpu::CommandList commands = buildCommands(workload);
 
     const Run serial =
-        simulate(commands, gpu::SchedulerKind::Serial, 0);
+        simulate(commands, config, gpu::SchedulerKind::Serial, 0);
     expectFingerprint(serial, expected, label);
 
     gpu::RefRenderer reference(64u << 20);
@@ -158,7 +171,7 @@ checkScene(workloads::Workload& workload, const Fingerprint& expected,
 
     if (parallel) {
         const Run par =
-            simulate(commands, gpu::SchedulerKind::Parallel, 2);
+            simulate(commands, config, gpu::SchedulerKind::Parallel, 2);
         expectFingerprint(par, expected, label);
     }
 }
@@ -179,6 +192,25 @@ TEST(Fingerprints, Cubes)
 {
     workloads::CubesWorkload workload(fig10Params());
     checkScene(workload, kCubes, "cubes", true);
+}
+
+TEST(Fingerprints, TerrainInOrderQueue)
+{
+    workloads::TerrainWorkload workload(fig10Params());
+    checkScene(workload, kTerrainInOrder, "terrain in-order", false,
+               gpu::GpuConfig::caseStudy(
+                   gpu::ShaderScheduling::InOrderQueue, 3));
+}
+
+TEST(Fingerprints, TerrainNonUnified)
+{
+    gpu::GpuConfig config = gpu::GpuConfig::baseline();
+    config.unifiedShaders = false;
+    config.numVertexShaders = 1;
+    config.vertexShaderThreads = 1;
+    workloads::TerrainWorkload workload(fig10Params());
+    checkScene(workload, kTerrainNonUnified, "terrain non-unified",
+               false, config);
 }
 
 } // anonymous namespace

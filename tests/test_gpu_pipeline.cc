@@ -254,10 +254,22 @@ TEST(GpuPipeline, MatchesReferenceRenderer)
     EXPECT_EQ(gpuFrame.diffCount(refFrame), 0u);
 }
 
-TEST(GpuPipeline, IndexedStripWithVertexCache)
+struct VertexCacheCounts
 {
-    // A triangle strip with 16-bit indices; the post-shading vertex
-    // cache must kick in for the shared vertices.
+    u64 hits = 0;
+    u64 misses = 0;
+};
+
+/**
+ * Draw a blue 16-bit indexed triangle strip over @p numVertices
+ * zig-zag vertices with a @p cacheEntries post-shading vertex cache;
+ * check the image against the reference renderer and return the
+ * Streamer's vertex cache counters.
+ */
+VertexCacheCounts
+runIndexedStrip(const std::vector<u16>& indices, u32 numVertices,
+                u32 cacheEntries, FrameImage* frameOut = nullptr)
+{
     CommandList list;
     emitSurfaceSetup(list);
     emitPassthroughPrograms(list);
@@ -266,22 +278,13 @@ TEST(GpuPipeline, IndexedStripWithVertexCache)
 
     std::vector<emu::Vec4> positions;
     std::vector<emu::Vec4> colors;
-    for (u32 i = 0; i < 8; ++i) {
-        const f32 x = -0.9f + 0.25f * i;
+    for (u32 i = 0; i < numVertices; ++i) {
+        const f32 x = -0.9f + 1.75f * i / (numVertices - 1);
         positions.push_back({x, i % 2 ? 0.6f : -0.6f, 0, 1});
         colors.push_back({0, 0, 1, 1});
     }
     emitVertexData(list, 0x100000, 0x110000, positions, colors);
 
-    std::vector<u16> indices;
-    // Several passes over the same vertices: later passes find the
-    // shaded results in the post-shading vertex cache (the first
-    // pass may still be in flight when its immediate repeats
-    // dispatch).
-    for (u32 pass = 0; pass < 4; ++pass) {
-        for (u16 i = 0; i < 8; ++i)
-            indices.push_back(i);
-    }
     std::vector<u8> ib(indices.size() * 2);
     std::memcpy(ib.data(), indices.data(), ib.size());
     list.push_back(Command::writeBuffer(0x140000, std::move(ib)));
@@ -295,21 +298,79 @@ TEST(GpuPipeline, IndexedStripWithVertexCache)
                                           indices.size())));
     list.push_back(Command::swap());
 
+    GpuConfig config = GpuConfig::baseline();
+    config.vertexCacheEntries = cacheEntries;
     Gpu* gpu = nullptr;
-    const FrameImage frame = runOnGpu(list, GpuConfig::baseline(),
-                                      &gpu);
-    // Center of the strip band is blue.
-    EXPECT_EQ(frame.pixel(fbW / 2, fbH / 2), rgba(0, 0, 255));
-    // The vertex cache saw hits (repeated indices).
-    const auto* hits =
-        gpu->stats().find("Streamer.vertexCacheHits");
-    ASSERT_NE(hits, nullptr);
-    EXPECT_GT(hits->total(), 0u);
+    const FrameImage frame = runOnGpu(list, config, &gpu);
 
-    // And the image matches the reference renderer.
     RefRenderer ref(8u << 20);
     ref.execute(list);
-    EXPECT_EQ(frame.diffCount(ref.frames()[0]), 0u);
+    EXPECT_EQ(frame.diffCount(ref.frames()[0]), 0u)
+        << cacheEntries << "-entry vertex cache";
+    if (frameOut)
+        *frameOut = frame;
+
+    VertexCacheCounts counts;
+    const auto* hits = gpu->stats().find("Streamer.vertexCacheHits");
+    const auto* misses =
+        gpu->stats().find("Streamer.vertexCacheMisses");
+    EXPECT_NE(hits, nullptr);
+    EXPECT_NE(misses, nullptr);
+    if (hits && misses) {
+        counts.hits = hits->total();
+        counts.misses = misses->total();
+    }
+    return counts;
+}
+
+TEST(GpuPipeline, IndexedStripWithVertexCache)
+{
+    // Four passes over the same eight strip vertices: later passes
+    // find the shaded results in the post-shading vertex cache (the
+    // first pass may still be in flight when its immediate repeats
+    // dispatch).  The exact counts pin the cache's timing: a
+    // disabled cache never hits, and neither does a one-entry cache,
+    // which only holds the latest shaded vertex.
+    std::vector<u16> indices;
+    for (u32 pass = 0; pass < 4; ++pass) {
+        for (u16 i = 0; i < 8; ++i)
+            indices.push_back(i);
+    }
+    struct Expected
+    {
+        u32 entries;
+        VertexCacheCounts counts;
+    };
+    const Expected expected[] = {
+        {0, {0, 32}},
+        {1, {0, 32}},
+        {16, {7, 25}},
+    };
+    for (const Expected& e : expected) {
+        FrameImage frame;
+        const VertexCacheCounts counts =
+            runIndexedStrip(indices, 8, e.entries, &frame);
+        EXPECT_EQ(counts.hits, e.counts.hits) << e.entries;
+        EXPECT_EQ(counts.misses, e.counts.misses) << e.entries;
+        EXPECT_EQ(counts.hits + counts.misses, indices.size());
+        // Center of the strip band is blue.
+        EXPECT_EQ(frame.pixel(fbW / 2, fbH / 2), rgba(0, 0, 255));
+    }
+}
+
+TEST(GpuPipeline, VertexCacheEvictsInFifoOrder)
+{
+    // 24 distinct vertices through a 16-entry cache, revisited in a
+    // scrambled order: which repeats hit depends on which entries
+    // the first-in-first-out replacement has already evicted.
+    std::vector<u16> indices;
+    for (u32 pass = 0; pass < 6; ++pass) {
+        for (u32 i = 0; i < 24; ++i)
+            indices.push_back(static_cast<u16>((i * 7 + pass * 5) % 24));
+    }
+    const VertexCacheCounts counts = runIndexedStrip(indices, 24, 16);
+    EXPECT_EQ(counts.hits, 69u);
+    EXPECT_EQ(counts.misses, 75u);
 }
 
 TEST(GpuPipeline, NonUnifiedPipelineRenders)
