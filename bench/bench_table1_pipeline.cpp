@@ -76,12 +76,10 @@ main(int argc, char** argv)
     std::cout << "\nBaseline configuration:\n"
               << "  unified shaders:        "
               << (c.unifiedShaders ? "yes" : "no") << " ("
-              << c.numShaders << " units x "
-              << c.shaderInputsPerCycle << " frag/cycle)\n"
+              << c.numShaders << " units)\n"
               << "  vertex shaders (fig 1): " << c.numVertexShaders
               << "\n"
-              << "  ROP units:              " << c.numRops << " x "
-              << c.ropFragmentsPerCycle << " frag/cycle\n"
+              << "  ROP units:              " << c.numRops << "\n"
               << "  texture units:          " << c.numTextureUnits
               << "\n"
               << "  memory channels:        " << c.memoryChannels

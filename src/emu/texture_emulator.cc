@@ -386,9 +386,7 @@ minFilterMipmapped(MinFilter f)
     return f != MinFilter::Nearest && f != MinFilter::Linear;
 }
 
-/** Mip levels and blend weights one sample touches at @p lod.
- * Shared by the planning and the fused fast paths so level
- * selection can never diverge between them. */
+/** Mip levels and blend weights one sample touches at @p lod. */
 struct LevelSelection
 {
     struct LevelWeight { u8 level; f32 weight; };
@@ -464,56 +462,6 @@ fetchTexelCached(const TextureDescriptor& desc, u8 face, u8 level,
     return cache->texels[(yi % 4) * 4 + (xi % 4)];
 }
 
-/**
- * Fetch-and-blend footprint at one mip level: the fused counterpart
- * of appendLevelSample + executePlan.  Texel order, wrap handling,
- * weight arithmetic and the zero-weight skip are identical, so the
- * accumulator receives the exact same sequence of operations.
- */
-void
-accumulateLevelSample(const TextureDescriptor& desc, u32 face, f32 s,
-                      f32 t, u8 level, bool linear, f32 weight,
-                      const MemoryReader& mem, TexBlockCache* cache,
-                      Vec4& acc)
-{
-    const MipLevel& mip = desc.mips[face][level];
-    const s32 w = static_cast<s32>(mip.width);
-    const s32 h = static_cast<s32>(mip.height);
-    // Cube faces clamp regardless of the wrap mode.
-    const WrapMode ws = desc.target == TexTarget::Cube
-                            ? WrapMode::Clamp : desc.wrapS;
-    const WrapMode wt = desc.target == TexTarget::Cube
-                            ? WrapMode::Clamp : desc.wrapT;
-
-    auto fetchAdd = [&](s32 x, s32 y, f32 wgt) {
-        if (wgt <= 0.0f)
-            return;
-        const s32 xi = TextureEmulator::wrap(ws, x, w);
-        const s32 yi = TextureEmulator::wrap(wt, y, h);
-        const Vec4 texel =
-            fetchTexelCached(desc, static_cast<u8>(face), level, xi,
-                             yi, mem, cache);
-        acc = acc + texel * wgt;
-    };
-
-    if (!linear) {
-        fetchAdd(static_cast<s32>(std::floor(s * w)),
-                 static_cast<s32>(std::floor(t * h)), weight);
-        return;
-    }
-
-    const f32 u = s * static_cast<f32>(w) - 0.5f;
-    const f32 v = t * static_cast<f32>(h) - 0.5f;
-    const s32 x0 = static_cast<s32>(std::floor(u));
-    const s32 y0 = static_cast<s32>(std::floor(v));
-    const f32 fx = u - static_cast<f32>(x0);
-    const f32 fy = v - static_cast<f32>(y0);
-    fetchAdd(x0, y0, weight * (1.0f - fx) * (1.0f - fy));
-    fetchAdd(x0 + 1, y0, weight * fx * (1.0f - fy));
-    fetchAdd(x0, y0 + 1, weight * (1.0f - fx) * fy);
-    fetchAdd(x0 + 1, y0 + 1, weight * fx * fy);
-}
-
 } // anonymous namespace
 
 f32
@@ -585,6 +533,9 @@ TextureEmulator::planSample(const TextureDescriptor& desc,
     const LevelSelection sel = selectLevels(desc, lod);
 
     const u32 n = std::max(aniso, 1u);
+    // One allocation for the whole footprint (4 texels per bilinear
+    // level, 1 per nearest one).
+    plan.texels.reserve(n * sel.numLevels * (sel.linear ? 4 : 1));
     for (u32 i = 0; i < n; ++i) {
         f32 ss = s, tt = t;
         if (n > 1) {
@@ -623,44 +574,6 @@ TextureEmulator::executePlan(const TextureDescriptor& desc,
                              mem, cache);
         acc = acc + texel * ref.weight;
     }
-    return acc;
-}
-
-Vec4
-TextureEmulator::samplePlanned(const TextureDescriptor& desc,
-                               const Vec4& coord, f32 lod, u32 aniso,
-                               const Vec4& majorAxis,
-                               const MemoryReader& mem,
-                               TexBlockCache* cache,
-                               u32* bilinearOps)
-{
-    u32 face;
-    f32 s, t;
-    resolveCoord(desc, coord, face, s, t);
-
-    const LevelSelection sel = selectLevels(desc, lod);
-
-    Vec4 acc;
-    const u32 n = std::max(aniso, 1u);
-    for (u32 i = 0; i < n; ++i) {
-        f32 ss = s, tt = t;
-        if (n > 1) {
-            const f32 offset =
-                (static_cast<f32>(i) + 0.5f) / static_cast<f32>(n) -
-                0.5f;
-            ss += majorAxis.x * offset;
-            tt += majorAxis.y * offset;
-        }
-        for (u32 li = 0; li < sel.numLevels; ++li) {
-            accumulateLevelSample(desc, face, ss, tt,
-                                  sel.levels[li].level, sel.linear,
-                                  sel.levels[li].weight /
-                                      static_cast<f32>(n),
-                                  mem, cache, acc);
-        }
-    }
-    if (bilinearOps)
-        *bilinearOps = std::max(n * sel.numLevels, 1u);
     return acc;
 }
 
@@ -720,31 +633,6 @@ TextureEmulator::sampleQuad(const TextureDescriptor& desc,
             planSample(desc, coords[i], lod, aniso, majorAxis);
         out[i] = executePlan(desc, plan, mem);
         ops += plan.bilinearOps;
-    }
-    if (bilinearOps)
-        *bilinearOps = ops;
-    return out;
-}
-
-std::array<Vec4, 4>
-TextureEmulator::sampleQuadFast(const TextureDescriptor& desc,
-                                const std::array<Vec4, 4>& coords,
-                                f32 lodBias, const MemoryReader& mem,
-                                u32* bilinearOps)
-{
-    u32 aniso;
-    f32 lod;
-    Vec4 majorAxis;
-    quadFootprint(desc, coords, lodBias, aniso, lod, majorAxis);
-
-    TexBlockCache cache;
-    u32 ops = 0;
-    std::array<Vec4, 4> out;
-    for (u32 i = 0; i < 4; ++i) {
-        u32 laneOps = 0;
-        out[i] = samplePlanned(desc, coords[i], lod, aniso,
-                               majorAxis, mem, &cache, &laneOps);
-        ops += laneOps;
     }
     if (bilinearOps)
         *bilinearOps = ops;

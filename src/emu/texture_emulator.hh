@@ -173,20 +173,6 @@ class TextureEmulator
                             TexBlockCache* cache = nullptr);
 
     /**
-     * Plan + execute fused, without materializing a SamplePlan: the
-     * fast path for functional sampling.  Follows planSample()'s
-     * texel order and weight arithmetic exactly, so the result is
-     * bit-identical to executePlan(planSample(...)).  @p bilinearOps
-     * (when non-null) receives the same count planSample() reports.
-     */
-    static Vec4 samplePlanned(const TextureDescriptor& desc,
-                              const Vec4& coord, f32 lod, u32 aniso,
-                              const Vec4& majorAxis,
-                              const MemoryReader& mem,
-                              TexBlockCache* cache = nullptr,
-                              u32* bilinearOps = nullptr);
-
-    /**
      * Full footprint analysis of a quad: anisotropy sample count,
      * (aniso-adjusted) level-of-detail and the major axis step in
      * (s, t) space.  The Texture Unit uses this to plan the quad's
@@ -212,17 +198,6 @@ class TextureEmulator
     sampleQuad(const TextureDescriptor& desc,
                const std::array<Vec4, 4>& coords, f32 lodBias,
                const MemoryReader& mem, u32* bilinearOps = nullptr);
-
-    /**
-     * sampleQuad() through the shared-footprint fast path: one
-     * footprint analysis, fused per-lane sampling and a decoded-block
-     * cache shared across the quad.  Bit-identical to sampleQuad().
-     */
-    static std::array<Vec4, 4>
-    sampleQuadFast(const TextureDescriptor& desc,
-                   const std::array<Vec4, 4>& coords, f32 lodBias,
-                   const MemoryReader& mem,
-                   u32* bilinearOps = nullptr);
 
     /** Decode one texel straight from memory (nearest, no filter). */
     static Vec4 fetchTexel(const TextureDescriptor& desc, u8 face,

@@ -72,14 +72,44 @@ FragmentFifo::ropOf(const QuadObj& quad) const
            _config.numRops;
 }
 
+namespace
+{
+
+/**
+ * Reject an entry that needs more of a pool than the whole pool
+ * holds: admit() would retry it forever and the model would never
+ * drain.  Called only when an admission fails, so the check costs
+ * nothing on the admit path.
+ */
+void
+checkPoolCanHold(const char* what, const char* key, u32 needed,
+                 u32 size, const char* unit)
+{
+    if (needed > size) {
+        throw SimError(detail::concat(
+            "config: FragmentFIFO: ", what, " needs ", needed, " ",
+            unit, " but ", key, " is ", size,
+            ", so the shader pool can never admit it"));
+    }
+}
+
+} // anonymous namespace
+
 bool
 FragmentFifo::admit(Entry&& entry)
 {
     if (entry.kind != EntryKind::Marker) {
+        const char* what = entry.kind == EntryKind::Quad
+                               ? "a fragment quad"
+                               : "a vertex group";
         if (issueClass(entry) == VertexClass) {
             // Dedicated vertex pool (threads checked at issue).
             if (_usedVertexRegisters + entry.registers >
                 _config.vertexShaderRegisters) {
+                checkPoolCanHold(what, "shader.vertexRegisters",
+                                 entry.registers,
+                                 _config.vertexShaderRegisters,
+                                 "registers");
                 _statRegistersFullCycles.inc();
                 return false;
             }
@@ -87,11 +117,17 @@ FragmentFifo::admit(Entry&& entry)
         } else {
             if (_usedInputs + entry.inputs >
                 _config.shaderInputsInFlight) {
+                checkPoolCanHold(what, "shader.inputsInFlight",
+                                 entry.inputs,
+                                 _config.shaderInputsInFlight, "inputs");
                 _statWindowFullCycles.inc();
                 return false;
             }
             if (_usedRegisters + entry.registers >
                 _config.shaderRegisters) {
+                checkPoolCanHold(what, "shader.registers",
+                                 entry.registers, _config.shaderRegisters,
+                                 "registers");
                 _statRegistersFullCycles.inc();
                 return false;
             }

@@ -95,46 +95,29 @@ Gpu::Gpu(const GpuConfig& config)
 
     binder.checkConnectivity();
 
-    // The whole pipeline runs in one master-rate domain for now; the
-    // domain layer is the seam for future memory/display clocks.
-    // The configured memory/display rates are validated here (they
-    // must divide the core clock — the divider machinery only models
-    // integer ratios) even while the boxes still share the core
-    // domain, so sweep files fail at load, not when the domains
-    // split.
+    // One clock drives the whole pipeline; clock.gpuMHz only turns
+    // cycles into reported frames per second.
     if (_config.clockMHz == 0)
         fatal("config: clock.gpuMHz must be >= 1");
-    if (_config.memoryClockMHz != 0 &&
-        _config.clockMHz % _config.memoryClockMHz != 0) {
-        fatal("config: clock.memoryMHz (", _config.memoryClockMHz,
-              ") must divide clock.gpuMHz (", _config.clockMHz, ")");
-    }
-    if (_config.displayClockMHz != 0 &&
-        _config.clockMHz % _config.displayClockMHz != 0) {
-        fatal("config: clock.displayMHz (", _config.displayClockMHz,
-              ") must divide clock.gpuMHz (", _config.clockMHz, ")");
-    }
-    sim::ClockDomain& core = _sim.domain("gpu");
-    core.setFrequencyMHz(_config.clockMHz);
-    core.addBox(_commandProcessor.get());
-    core.addBox(_streamer.get());
-    core.addBox(_assembly.get());
-    core.addBox(_clipper.get());
-    core.addBox(_setup.get());
-    core.addBox(_fragmentGenerator.get());
-    core.addBox(_hz.get());
+    _sim.addBox(_commandProcessor.get());
+    _sim.addBox(_streamer.get());
+    _sim.addBox(_assembly.get());
+    _sim.addBox(_clipper.get());
+    _sim.addBox(_setup.get());
+    _sim.addBox(_fragmentGenerator.get());
+    _sim.addBox(_hz.get());
     for (auto& rop : _ropz)
-        core.addBox(rop.get());
-    core.addBox(_interpolator.get());
-    core.addBox(_ffifo.get());
+        _sim.addBox(rop.get());
+    _sim.addBox(_interpolator.get());
+    _sim.addBox(_ffifo.get());
     for (auto& shader : _shaders)
-        core.addBox(shader.get());
+        _sim.addBox(shader.get());
     for (auto& tu : _textureUnits)
-        core.addBox(tu.get());
+        _sim.addBox(tu.get());
     for (auto& rop : _ropc)
-        core.addBox(rop.get());
-    core.addBox(_dac.get());
-    core.addBox(_memoryController.get());
+        _sim.addBox(rop.get());
+    _sim.addBox(_dac.get());
+    _sim.addBox(_memoryController.get());
 
     if (_config.scheduler == SchedulerKind::Parallel) {
         sim::ParallelScheduler::Options options;
@@ -146,8 +129,8 @@ Gpu::Gpu(const GpuConfig& config)
     _sim.setIdleSkip(_config.idleSkip);
 
     // Structured event tracing records into per-thread chunks, so it
-    // runs under any scheduler.  Enabled last: every box is in its
-    // domain and every signal registered, so unit ids come out
+    // runs under any scheduler.  Enabled last: every box and every
+    // signal is registered, so unit ids come out
     // deterministic.
     if (_config.eventTrace) {
         if constexpr (!sim::kEventTraceCompiled) {

@@ -45,8 +45,6 @@ visitConfigFields(GpuConfig& c, V&& v)
     v.field("global.memorySize", c.memorySize);
 
     v.field("clock.gpuMHz", c.clockMHz);
-    v.field("clock.memoryMHz", c.memoryClockMHz);
-    v.field("clock.displayMHz", c.displayClockMHz);
 
     v.field("shader.units", c.numShaders);
     v.field("shader.vertexUnits", c.numVertexShaders);
@@ -56,7 +54,6 @@ visitConfigFields(GpuConfig& c, V&& v)
     v.field("shader.registers", c.shaderRegisters);
     v.field("shader.vertexRegisters", c.vertexShaderRegisters);
     v.field("shader.fetchRate", c.shaderFetchRate);
-    v.field("shader.inputsPerCycle", c.shaderInputsPerCycle);
 
     v.field("texture.units", c.numTextureUnits);
     v.field("texture.cacheKB", c.textureCacheKB);
@@ -67,7 +64,6 @@ visitConfigFields(GpuConfig& c, V&& v)
     v.field("texture.requestQueue", c.textureRequestQueue);
 
     v.field("rop.units", c.numRops);
-    v.field("rop.fragmentsPerCycle", c.ropFragmentsPerCycle);
     v.field("rop.latency", c.ropLatency);
     v.field("rop.zCacheKB", c.zCacheKB);
     v.field("rop.zCacheWays", c.zCacheWays);

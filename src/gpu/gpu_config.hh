@@ -198,18 +198,11 @@ struct GpuConfig
     bool unifiedShaders = true; ///< Fig 2 (true) vs Fig 1 (false).
     u32 memorySize = 64u << 20; ///< GPU memory bytes.
 
-    // ===== Clock domains ============================================
-    /** Core ("gpu") clock domain frequency; also the fps-reporting
-     * rate. */
+    // ===== Clock ====================================================
+    /** GPU clock frequency.  The model has one clock: every box,
+     * memory included, advances once per cycle, and this rate only
+     * converts simulated cycles into reported frames per second. */
     u64 clockMHz = 600;
-    /** Memory clock domain frequency; 0 folds the memory boxes into
-     * the core domain (the current model — cross-rate wires need an
-     * explicit bridge box).  A non-zero value must divide clockMHz
-     * (the divider machinery only models integer ratios). */
-    u64 memoryClockMHz = 0;
-    /** Display (DAC) clock domain frequency; same rules as
-     * memoryClockMHz. */
-    u64 displayClockMHz = 0;
 
     // ===== Shader pool ==============================================
     u32 numShaders = 2;       ///< Fragment/unified shader units.
@@ -224,7 +217,6 @@ struct GpuConfig
     u32 shaderRegisters = 512;
     u32 vertexShaderRegisters = 96;
     u32 shaderFetchRate = 1;  ///< Instructions issued per cycle.
-    u32 shaderInputsPerCycle = 4; ///< Fragments accepted per cycle.
 
     // ===== Texture units ============================================
     u32 numTextureUnits = 2;  ///< One per shader in the baseline.
@@ -237,7 +229,6 @@ struct GpuConfig
 
     // ===== ROPs =====================================================
     u32 numRops = 2;         ///< Z/stencil + colour units each.
-    u32 ropFragmentsPerCycle = 4; ///< 1 quad per cycle per unit.
     u32 ropLatency = 2;      ///< Pipeline latency before memory.
     u32 zCacheKB = 16;
     u32 zCacheWays = 4;

@@ -136,8 +136,9 @@ RefRenderer::shadeQuad(std::array<emu::ShaderThreadState, 4>& lanes,
 {
     // Quad-lockstep execution with quad-context texture sampling,
     // exactly as the shader units + texture units do it: project,
-    // compute the shared footprint, then sample each live lane (the
-    // decoded-block cache is pure memoization).
+    // compute the shared footprint, then plan and execute each live
+    // lane's sample with one decoded-block cache per quad (pure
+    // memoization).
     auto quadSample = [&](u32 unit, emu::TexTarget,
                           const std::array<Vec4, 4>& rawCoords,
                           u8 liveMask, f32 lodBias,
@@ -161,9 +162,11 @@ RefRenderer::shadeQuad(std::array<emu::ShaderThreadState, 4>& lanes,
         for (u32 l = 0; l < 4; ++l) {
             if (!(liveMask & (1u << l)))
                 continue;
-            texels[l] = TextureEmulator::samplePlanned(
-                desc, coords[l], lod, aniso, majorAxis, *_memory,
-                &blockCache);
+            texels[l] = TextureEmulator::executePlan(
+                desc,
+                TextureEmulator::planSample(desc, coords[l], lod, aniso,
+                                            majorAxis),
+                *_memory, &blockCache);
         }
         return texels;
     };

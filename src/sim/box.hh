@@ -14,14 +14,14 @@
  *                     signal writes.  No other box observes these
  *                     writes yet, so phase A has no ordering hazards
  *                     between boxes and may run concurrently for all
- *                     boxes of a clock domain.
+ *                     boxes.
  *  - propagate(cycle) (phase B): publish the staged writes into the
  *                     signals' delivery slots.  Each signal has a
  *                     single writer box, so phase B is also free of
  *                     cross-box hazards.
  *
- * The scheduler (see sim/scheduler.hh) runs phase A for every box of
- * a domain, then phase B for every box.  clock() bundles both phases
+ * The scheduler (see sim/scheduler.hh) runs phase A for every box,
+ * then phase B for every box.  clock() bundles both phases
  * for single-box harnesses and tests.
  *
  * Two per-box words make the per-cycle framework cost follow the

@@ -71,7 +71,7 @@ enum class EventKind : u16 {
  */
 struct TraceEvent
 {
-    u64 cycle;  ///< Domain cycle of the event.
+    u64 cycle;  ///< Simulated cycle of the event.
     u64 id;     ///< DynamicObject id (kNoTraceId when not applicable).
     u64 parent; ///< Innermost ancestor cookie (kNoTraceId when root).
     u32 arg;    ///< Kind-specific payload (color, address, slot).

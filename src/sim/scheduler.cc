@@ -24,7 +24,7 @@ namespace
 {
 
 /**
- * One worker's share of a clock domain: a cluster of boxes chosen so
+ * One worker's share of the boxes: a cluster of boxes chosen so
  * that the heaviest signal edges stay internal.  The per-cycle fields
  * (active list, cursor, update counter) are reset by the simulator
  * thread before each dispatch; the atomics live on their own cache
@@ -46,10 +46,10 @@ struct Partition
     alignas(64) std::atomic<u32> updatesLeft{0};
 };
 
-/** Cached per-domain execution plan. */
+/** Cached execution plan for one box list. */
 struct Plan
 {
-    const ClockDomain* domain = nullptr;
+    const std::vector<Box*>* boxes = nullptr;
     std::size_t boxCount = 0;
     /** Box index -> partition index. */
     std::vector<u32> partitionOf;
@@ -63,7 +63,7 @@ struct Plan
 };
 
 /**
- * Build the execution plan for @p domain: recover the box
+ * Build the execution plan for @p boxes: recover the box
  * connectivity graph from the registered signal wiring, cluster it
  * greedily so the heaviest edges stay partition-internal, and place
  * the clusters on min(threads, boxes) partitions longest-first.
@@ -71,14 +71,13 @@ struct Plan
  * every step, so the same graph always yields the same partitions.
  */
 void
-buildPlan(Plan& plan, ClockDomain& domain, u32 threads,
+buildPlan(Plan& plan, const std::vector<Box*>& boxes, u32 threads,
           u32 slackPercent)
 {
-    const auto& boxes = domain.boxes();
     const u32 n = static_cast<u32>(boxes.size());
     const u32 partCount = std::min(threads, std::max(1u, n));
 
-    plan.domain = &domain;
+    plan.boxes = &boxes;
     plan.boxCount = n;
     plan.partitionOf.assign(n, 0);
     plan.offsetOf.assign(n, 0);
@@ -91,7 +90,7 @@ buildPlan(Plan& plan, ClockDomain& domain, u32 threads,
 
     // Reader lookup: the binder enforces a single reader per signal,
     // so each box's registered inputs invert into a signal -> reader
-    // map.  Signals whose reader lives outside this domain simply
+    // map.  Signals whose reader is not in the list simply
     // contribute no edge.
     std::unordered_map<const Signal*, u32> readerOf;
     for (u32 i = 0; i < n; ++i) {
@@ -255,20 +254,15 @@ struct ParallelScheduler::Impl
             t.join();
     }
 
-    /** Find (or build) the cached plan for @p domain. */
+    /** The cached plan for @p boxes, rebuilt when the list or its
+     * population changes. */
     Plan&
-    planFor(ClockDomain& domain)
+    planFor(const std::vector<Box*>& boxes)
     {
-        for (auto& plan : plans) {
-            if (plan->domain == &domain) {
-                if (plan->boxCount != domain.boxes().size())
-                    buildPlan(*plan, domain, threads, slackPercent);
-                return *plan;
-            }
-        }
-        plans.push_back(std::make_unique<Plan>());
-        buildPlan(*plans.back(), domain, threads, slackPercent);
-        return *plans.back();
+        if (cachedPlan.boxes != &boxes ||
+            cachedPlan.boxCount != boxes.size())
+            buildPlan(cachedPlan, boxes, threads, slackPercent);
+        return cachedPlan;
     }
 
     void
@@ -468,7 +462,7 @@ struct ParallelScheduler::Impl
     std::mutex errorMutex;
     std::vector<ErrorRecord> errors;
 
-    std::vector<std::unique_ptr<Plan>> plans;
+    Plan cachedPlan;
 };
 
 ParallelScheduler::ParallelScheduler(u32 threads)
@@ -488,12 +482,11 @@ ParallelScheduler::ParallelScheduler(u32 threads, Options options)
 
 ParallelScheduler::~ParallelScheduler() = default;
 
-void
-ParallelScheduler::clockDomain(ClockDomain& domain, Cycle cycle)
+bool
+ParallelScheduler::clock(const std::vector<Box*>& boxes, Cycle cycle)
 {
     Impl& im = *_impl;
-    Plan& plan = im.planFor(domain);
-    const auto& boxes = domain.boxes();
+    Plan& plan = im.planFor(boxes);
     const bool skipping = idleSkip();
 
     // Serial skip pass: every decision is made here, on this thread,
@@ -517,10 +510,8 @@ ParallelScheduler::clockDomain(ClockDomain& domain, Cycle cycle)
     }
 
     // Quiescent cycle: nothing to run, nothing to synchronize.
-    if (activeTotal == 0) {
-        domain.noteAllIdle(skipping);
-        return;
-    }
+    if (activeTotal == 0)
+        return skipping;
 
     // Degenerate cycles run inline: a single active partition has no
     // cross-partition traffic this cycle, and a couple of boxes are
@@ -535,8 +526,7 @@ ParallelScheduler::clockDomain(ClockDomain& domain, Cycle cycle)
             if (!box->skipped())
                 box->propagate(cycle);
         }
-        domain.noteAllIdle(false);
-        return;
+        return false;
     }
 
     for (Partition& p : plan.parts) {
@@ -548,19 +538,19 @@ ParallelScheduler::clockDomain(ClockDomain& domain, Cycle cycle)
     im.cycle = cycle;
     im.dispatch();
     im.rethrowFirstError();
-    domain.noteAllIdle(false);
+    return false;
 }
 
 std::vector<u32>
-ParallelScheduler::partitionAssignment(ClockDomain& domain)
+ParallelScheduler::partitionAssignment(const std::vector<Box*>& boxes)
 {
-    return _impl->planFor(domain).partitionOf;
+    return _impl->planFor(boxes).partitionOf;
 }
 
 u32
-ParallelScheduler::crossSignals(ClockDomain& domain)
+ParallelScheduler::crossSignals(const std::vector<Box*>& boxes)
 {
-    return _impl->planFor(domain).crossSignals;
+    return _impl->planFor(boxes).crossSignals;
 }
 
 std::unique_ptr<Scheduler>

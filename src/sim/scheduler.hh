@@ -1,6 +1,6 @@
 /**
  * @file
- * Scheduler: pluggable engine that clocks the boxes of a domain.
+ * Scheduler: pluggable engine that clocks the simulator's boxes.
  *
  * The two-phase box lifecycle (Box::update staging writes, then
  * Box::propagate publishing them) guarantees that boxes of one cycle
@@ -36,13 +36,13 @@
 #include <string>
 #include <vector>
 
-#include "sim/clock_domain.hh"
+#include "sim/box.hh"
 #include "sim/types.hh"
 
 namespace attila::sim
 {
 
-/** Engine that advances a clock domain by one cycle. */
+/** Engine that advances the boxes by one cycle. */
 class Scheduler
 {
   public:
@@ -54,13 +54,13 @@ class Scheduler
     virtual u32 threadCount() const { return 1; }
 
     /**
-     * Run one cycle of @p domain at domain-local cycle @p cycle:
-     * phase A (update) for every box, then phase B (propagate).
-     * With idle skipping enabled, boxes that are provably idle
-     * (Box::idleAt) skip both phases, and the domain's all-idle
-     * flag is recorded for the simulator's fast-forward check.
+     * Run cycle @p cycle of @p boxes: phase A (update) for every
+     * box, then phase B (propagate).  With idle skipping enabled,
+     * boxes that are provably idle (Box::idleAt) skip both phases.
+     * Returns true when idle skipping skipped every box, which is
+     * what the simulator's fast-forward check needs.
      */
-    virtual void clockDomain(ClockDomain& domain, Cycle cycle) = 0;
+    virtual bool clock(const std::vector<Box*>& boxes, Cycle cycle) = 0;
 
     /**
      * Enable or disable idle skipping (default on).  Disabling
@@ -82,10 +82,9 @@ class SerialScheduler final : public Scheduler
   public:
     const char* name() const override { return "serial"; }
 
-    void
-    clockDomain(ClockDomain& domain, Cycle cycle) override
+    bool
+    clock(const std::vector<Box*>& boxes, Cycle cycle) override
     {
-        const auto& boxes = domain.boxes();
         if (!idleSkip()) {
             // Always-clock reference path; beginUpdate still
             // retires expired wake hints so toggling the mode
@@ -94,8 +93,7 @@ class SerialScheduler final : public Scheduler
                 box->beginUpdate(cycle);
             for (Box* box : boxes)
                 box->propagate(cycle);
-            domain.noteAllIdle(false);
-            return;
+            return false;
         }
         bool allIdle = true;
         for (Box* box : boxes) {
@@ -110,14 +108,14 @@ class SerialScheduler final : public Scheduler
             if (!box->skipped())
                 box->propagate(cycle);
         }
-        domain.noteAllIdle(allIdle);
+        return allIdle;
     }
 };
 
 /**
  * Dependency-aware partitioned worker-pool engine.
  *
- * Bind time (first clockDomain of a domain): the box connectivity
+ * Bind time (first clock of a box list): the box connectivity
  * graph is built from the binder's recorded wiring — every signal
  * has one writer and one reader box — weighted by signal bandwidth,
  * and greedily clustered into one partition per worker so that the
@@ -167,18 +165,18 @@ class ParallelScheduler final : public Scheduler
     u32 threadCount() const override { return _threads; }
     const Options& schedulerOptions() const { return _options; }
 
-    void clockDomain(ClockDomain& domain, Cycle cycle) override;
+    bool clock(const std::vector<Box*>& boxes, Cycle cycle) override;
 
     /**
      * Introspection for tests and tools: the partition index of
-     * every box of @p domain in registration order.  Builds (and
+     * every box of @p boxes in registration order.  Builds (and
      * caches) the same plan the engine runs with.
      */
-    std::vector<u32> partitionAssignment(ClockDomain& domain);
+    std::vector<u32> partitionAssignment(const std::vector<Box*>& boxes);
 
-    /** Signals of @p domain whose writer and reader land in
+    /** Signals among @p boxes whose writer and reader land in
      * different partitions (the edge cut, in wires). */
-    u32 crossSignals(ClockDomain& domain);
+    u32 crossSignals(const std::vector<Box*>& boxes);
 
   private:
     struct Impl;

@@ -3,29 +3,28 @@
  * Simulator: the clock loop driving boxes and signals.
  *
  * The simulator owns the signal binder, the statistic manager, the
- * clock domains grouping the boxes, and the scheduler that advances
- * them.  Because every inter-box signal has latency >= 1 and boxes
+ * list of boxes it clocks, and the scheduler that advances them.
+ * The whole model runs on one clock: every box sees the same cycle
+ * counter.  Because every inter-box signal has latency >= 1 and boxes
  * follow the two-phase update/propagate lifecycle, the order in
  * which boxes are clocked within a cycle does not affect the
  * modelled behaviour — which is what lets the scheduler clock them
  * serially or across a worker pool with bit-identical results.
  *
- * Each master tick advances every clock domain whose divider
- * matches; statistics window bookkeeping runs after phase B on the
- * simulator thread, so counters are only ever touched by one thread
- * at a time.
+ * Statistics window bookkeeping runs after phase B on the simulator
+ * thread, so counters are only ever touched by one thread at a
+ * time.
  */
 
 #ifndef ATTILA_SIM_SIMULATOR_HH
 #define ATTILA_SIM_SIMULATOR_HH
 
 #include <algorithm>
+#include <array>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "sim/box.hh"
-#include "sim/clock_domain.hh"
 #include "sim/event_trace.hh"
 #include "sim/scheduler.hh"
 #include "sim/signal_binder.hh"
@@ -52,46 +51,23 @@ class Simulator
     SignalBinder& binder() { return _binder; }
     StatisticManager& stats() { return _stats; }
 
+    /** Register a box to be clocked each cycle (not owned). */
+    void addBox(Box* box) { _boxes.push_back(box); }
+
+    /** Every registered box, in registration order. */
+    const std::vector<Box*>& boxes() const { return _boxes; }
+
     /**
-     * Find or create the clock domain @p name.  The divider is fixed
-     * at creation; re-requesting an existing domain with a different
-     * divider is a configuration error.
+     * The boxes grouped by clock domain.  The model has one clock, so
+     * this is a one-element view of the simulator itself.  It stays
+     * only because the host-performance benchmark in simbench/ still
+     * counts boxes through it, and that benchmark changes only in a
+     * benchmark revision.  New code uses boxes().
      */
-    ClockDomain&
-    domain(const std::string& name, u32 divider = 1)
-    {
-        for (auto& d : _domains) {
-            if (d->name() == name) {
-                if (d->divider() != divider)
-                    fatal("clock domain '", name,
-                          "': divider mismatch (", d->divider(),
-                          " vs ", divider, ")");
-                return *d;
-            }
-        }
-        _domains.push_back(
-            std::make_unique<ClockDomain>(name, divider));
-        return *_domains.back();
-    }
-
-    const std::vector<std::unique_ptr<ClockDomain>>&
-    domains() const
-    {
-        return _domains;
-    }
+    std::array<const Simulator*, 1> domains() const { return {this}; }
 
     /**
-     * Register a box to be clocked each cycle (not owned); shorthand
-     * for adding to the master-rate "default" domain.
-     */
-    void
-    addBox(Box* box)
-    {
-        domain("default").addBox(box);
-    }
-
-    /**
-     * Install the engine that clocks the domains.  Defaults to
+     * Install the engine that clocks the boxes.  Defaults to
      * SerialScheduler.
      */
     void
@@ -125,7 +101,7 @@ class Simulator
      * events come from the scheduler's clock/skip decisions), give
      * each box the chance to wire unit-level emitters
      * (attachEventTrace), and attach the trace to every signal.
-     * Call after all boxes are in their domains; boxes and signals
+     * Call after all boxes are registered; boxes and signals
      * added later are still picked up via the binder and explicit
      * attachment, but ids assigned here are deterministic.  It runs
      * under any scheduler.
@@ -136,13 +112,10 @@ class Simulator
         if (_eventTrace)
             return;
         _eventTrace = std::make_unique<EventTrace>();
-        for (auto& d : _domains) {
-            for (Box* box : d->boxes()) {
-                box->installEventTrace(
-                    _eventTrace.get(),
-                    _eventTrace->registerBox(box->name()));
-                box->attachEventTrace(*_eventTrace);
-            }
+        for (Box* box : _boxes) {
+            box->installEventTrace(
+                _eventTrace.get(), _eventTrace->registerBox(box->name()));
+            box->attachEventTrace(*_eventTrace);
         }
         _binder.setEventTrace(_eventTrace.get());
     }
@@ -160,33 +133,24 @@ class Simulator
     {
         if (!_eventTrace)
             fatal("finishEventTrace: event tracing is not enabled");
-        for (auto& d : _domains) {
-            for (Box* box : d->boxes())
-                box->finishEventSpan();
-        }
+        for (Box* box : _boxes)
+            box->finishEventSpan();
         return _eventTrace->collect();
     }
 
-    /** Master ticks elapsed (the rate of divider-1 domains). */
-    Cycle cycle() const { return _tick; }
+    /** Cycles elapsed. */
+    Cycle cycle() const { return _cycle; }
 
-    /** Advance the whole model one master tick. */
+    /** Advance the whole model one cycle. */
     void
     step()
     {
-        for (auto& d : _domains) {
-            if (d->ticksAt(_tick))
-                _scheduler->clockDomain(*d, d->cycle());
-        }
-        for (auto& d : _domains) {
-            if (d->ticksAt(_tick))
-                d->advance();
-        }
-        ++_tick;
-        _stats.cycle(_tick);
+        _lastAllIdle = _scheduler->clock(_boxes, _cycle);
+        ++_cycle;
+        _stats.cycle(_cycle);
     }
 
-    /** Run for @p cycles master ticks. */
+    /** Run for @p cycles cycles. */
     void
     run(u64 cycles)
     {
@@ -198,62 +162,32 @@ class Simulator
     }
 
     /**
-     * Whole-model fast-forward: when the last step skipped every
-     * box of every domain and no object is anywhere inside a wire,
-     * nothing can change state before the earliest scheduled box
-     * wakeup — so skip up to @p maxTicks master ticks in bulk,
-     * performing only the per-tick bookkeeping (domain cycle
-     * counters, statistics windows) the skipped steps would have
-     * done.  Returns the ticks skipped (0 when the model is not
-     * provably idle).  Observables stay bit-identical: the skipped
-     * steps would have clocked no box and closed the same all-zero
-     * statistics windows.
+     * Whole-model fast-forward: when the last step skipped every box
+     * and no object is anywhere inside a wire, nothing can change
+     * state before the earliest scheduled box wakeup — so skip up to
+     * @p maxCycles cycles in bulk, performing only the per-cycle
+     * bookkeeping (cycle counter, statistics windows) the skipped
+     * steps would have done.  Returns the cycles skipped (0 when the
+     * model is not provably idle).  Observables stay bit-identical:
+     * the skipped steps would have clocked no box and closed the
+     * same all-zero statistics windows.
      */
     u64
-    fastForward(u64 maxTicks)
+    fastForward(u64 maxCycles)
     {
-        if (maxTicks == 0)
+        if (maxCycles == 0 || !_lastAllIdle ||
+            _binder.totalInFlight() != 0)
             return 0;
-        for (const auto& d : _domains) {
-            if (!d->lastAllIdle())
-                return 0;
-        }
-        // The per-domain flags can be stale for slow domains between
-        // their ticks (and say nothing about wires between domains),
-        // so additionally require every signal empty.  With no box
-        // busy and nothing in flight, the only future event is the
-        // earliest wakeup.
-        if (_binder.totalInFlight() != 0)
-            return 0;
-        u64 skip = maxTicks;
-        for (const auto& d : _domains) {
-            const Cycle wake = d->nextWake();
-            if (wake == Box::NoWake)
-                continue;
-            const Cycle local = d->cycle();
-            if (wake <= local)
-                return 0; // Wakeup due at the very next tick.
-            // Master tick running domain cycle `wake`: the next tick
-            // where the domain fires, plus (wake - local) periods.
-            const u64 div = d->divider();
-            const u64 rem = _tick % div;
-            const u64 firstFire = rem == 0 ? _tick : _tick + div - rem;
-            const u64 wakeTick = firstFire + (wake - local) * div;
-            skip = std::min(skip, wakeTick - _tick);
-        }
-        if (skip == 0)
-            return 0;
-        for (auto& d : _domains) {
-            const u64 div = d->divider();
-            const u64 rem = _tick % div;
-            const u64 firstFire = rem == 0 ? _tick : _tick + div - rem;
-            if (firstFire < _tick + skip) {
-                d->advanceBy((_tick + skip - 1 - firstFire) / div +
-                             1);
-            }
-        }
-        _stats.skipCycles(_tick, _tick + skip);
-        _tick += skip;
+        Cycle wake = Box::NoWake;
+        for (const Box* box : _boxes)
+            wake = std::min(wake, box->nextWake());
+        if (wake <= _cycle)
+            return 0; // Wakeup due at the very next cycle.
+        const u64 skip =
+            wake == Box::NoWake ? maxCycles
+                                : std::min<u64>(maxCycles, wake - _cycle);
+        _stats.skipCycles(_cycle, _cycle + skip);
+        _cycle += skip;
         return skip;
     }
 
@@ -261,8 +195,8 @@ class Simulator
     bool
     allEmpty() const
     {
-        for (const auto& d : _domains) {
-            if (!d->allEmpty())
+        for (const Box* box : _boxes) {
+            if (!box->empty())
                 return false;
         }
         return true;
@@ -284,14 +218,12 @@ class Simulator
     {
         if (!allEmpty() || _binder.totalInFlight() != 0)
             return false;
-        for (const auto& d : _domains) {
-            for (const Box* box : d->boxes()) {
-                if (box->liveInputs() != 0) {
-                    panic("drain check: box '", box->name(),
-                          "' still counts ", box->liveInputs(),
-                          " live input(s) although every box is empty",
-                          " and no signal holds data");
-                }
+        for (const Box* box : _boxes) {
+            if (box->liveInputs() != 0) {
+                panic("drain check: box '", box->name(),
+                      "' still counts ", box->liveInputs(),
+                      " live input(s) although every box is empty",
+                      " and no signal holds data");
             }
         }
         return true;
@@ -300,10 +232,12 @@ class Simulator
   private:
     SignalBinder _binder;
     StatisticManager _stats;
-    std::vector<std::unique_ptr<ClockDomain>> _domains;
+    std::vector<Box*> _boxes;
     std::unique_ptr<Scheduler> _scheduler;
     std::unique_ptr<EventTrace> _eventTrace;
-    Cycle _tick = 0;
+    Cycle _cycle = 0;
+    /** The last step() skipped every box (fast-forward guard). */
+    bool _lastAllIdle = false;
     bool _idleSkip = true;
 };
 

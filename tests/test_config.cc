@@ -219,22 +219,15 @@ TEST(GpuConfigText, CompositeGeometryKeySetsDiscreteFields)
 
 TEST(GpuConfigText, ClockSectionLoadsAndRoundTrips)
 {
-    // The clock-domain frequencies are real config keys: loadable
-    // from the [clock] section, preserved by the canonical dump, and
+    // The GPU clock rate is a real config key: loadable from the
+    // [clock] section, preserved by the canonical dump, and
     // distinguishing in the config hash.
     GpuConfig c = GpuConfig::baseline();
-    c.applyText("[clock]\ngpuMHz = 500\nmemoryMHz = 250\n"
-                "displayMHz = 100\n");
+    c.applyText("[clock]\ngpuMHz = 500\n");
     EXPECT_EQ(c.clockMHz, 500u);
-    EXPECT_EQ(c.memoryClockMHz, 250u);
-    EXPECT_EQ(c.displayClockMHz, 100u);
 
     const std::string dump = c.toConfigText();
     EXPECT_NE(dump.find("gpuMHz = 500"), std::string::npos) << dump;
-    EXPECT_NE(dump.find("memoryMHz = 250"), std::string::npos)
-        << dump;
-    EXPECT_NE(dump.find("displayMHz = 100"), std::string::npos)
-        << dump;
     const GpuConfig again = GpuConfig::fromConfigText(dump);
     EXPECT_EQ(again, c);
     EXPECT_NE(c.configHash(), GpuConfig::baseline().configHash());
@@ -387,27 +380,35 @@ TEST(GpuConfigText, RetiredEnvVarsFailLoudly)
 
 TEST(GpuConfigText, RetiredKeysAreUnknownWithLocation)
 {
-    for (const char* key : {"emuFastPath", "memFastPath"}) {
+    // Keys the model no longer has (or never acted on) fail like any
+    // unknown key, with their file:line, instead of being ignored.
+    const std::string retired[] = {
+        "engine.emuFastPath", "engine.memFastPath",
+        "stats.signalTracePath", "clock.memoryMHz",
+        "clock.displayMHz",      "shader.inputsPerCycle",
+        "rop.fragmentsPerCycle",
+    };
+    for (const std::string& key : retired) {
+        const std::size_t dot = key.find('.');
         const std::string msg = errorOf([&] {
-            GpuConfig::fromConfigText(
-                std::string("[engine]\nidleSkip = true\n") + key +
-                    " = false\n",
-                "old.cfg");
+            GpuConfig::fromConfigText("[" + key.substr(0, dot) +
+                                          "]\n# retired\n" +
+                                          key.substr(dot + 1) + " = 4\n",
+                                      "old.cfg");
         });
         EXPECT_NE(msg.find("old.cfg:3"), std::string::npos) << msg;
-        EXPECT_NE(msg.find(std::string("unknown GpuConfig key 'engine.") +
-                           key + "'"),
+        EXPECT_NE(msg.find("unknown GpuConfig key '" + key + "'"),
                   std::string::npos)
             << msg;
+
+        const std::string setMsg = errorOf([&] {
+            GpuConfig c;
+            c.applySet(key + "=4");
+        });
+        EXPECT_NE(setMsg.find("unknown GpuConfig key '" + key + "'"),
+                  std::string::npos)
+            << setMsg;
     }
-    // A retired key is an unknown key like any other.
-    const std::string msg = errorOf([] {
-        GpuConfig c;
-        c.applySet("stats.signalTracePath=x");
-    });
-    EXPECT_NE(msg.find("unknown GpuConfig key 'stats.signalTracePath'"),
-              std::string::npos)
-        << msg;
 }
 
 TEST(GpuConfigText, ShippedBaselineConfigMatchesCompiledDefaults)

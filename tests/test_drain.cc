@@ -10,6 +10,7 @@
  */
 
 #include <cstdlib>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -155,4 +156,55 @@ TEST(DrainDetection, QuiescenceSeesInFlightSignalData)
     sim.run(25);
     EXPECT_EQ(consumer.received, 1u);
     EXPECT_TRUE(sim.quiescent());
+}
+
+TEST(DrainDetection, ShaderPoolThatCanNeverAdmitIsRejected)
+{
+    // A thread that needs more inputs or registers than its whole
+    // shader pool holds would be retried forever; the Fragment FIFO
+    // names the key instead of hanging.
+    WorkloadParams params;
+    params.width = 32;
+    params.height = 32;
+    params.frames = 1;
+    params.textureSize = 16;
+    params.detail = 2;
+    TerrainWorkload workload(params);
+    const gpu::CommandList list = buildCommands(workload, params);
+
+    struct Case
+    {
+        const char* key;
+        void (*apply)(gpu::GpuConfig&);
+    };
+    const Case cases[] = {
+        {"shader.registers",
+         [](gpu::GpuConfig& c) { c.shaderRegisters = 1; }},
+        {"shader.inputsInFlight",
+         [](gpu::GpuConfig& c) { c.shaderInputsInFlight = 2; }},
+        {"shader.vertexRegisters",
+         [](gpu::GpuConfig& c) {
+             c.unifiedShaders = false;
+             c.vertexShaderRegisters = 0;
+         }},
+    };
+    for (const Case& tc : cases) {
+        unsetenv("ATTILA_CONFIG");
+        unsetenv("ATTILA_CONFIG_SET");
+        gpu::GpuConfig config = gpu::GpuConfig::baseline();
+        config.memorySize = 32u << 20;
+        tc.apply(config);
+        gpu::Gpu gpu(config);
+        gpu.submit(list);
+        std::string msg;
+        try {
+            gpu.runUntilIdle(1'000'000);
+        } catch (const SimError& e) {
+            msg = e.what();
+        }
+        EXPECT_NE(msg.find(std::string(tc.key) + " is "),
+                  std::string::npos)
+            << tc.key << ": " << msg;
+        EXPECT_NE(msg.find("can never admit"), std::string::npos) << msg;
+    }
 }

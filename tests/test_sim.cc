@@ -604,7 +604,7 @@ TEST(SignalToken, ReaderBoxCountsLiveTokens)
     EXPECT_EQ(consumer.liveInputs(), 0u);
 }
 
-// ===== Clock domains and schedulers ================================
+// ===== Schedulers ================================================
 
 namespace
 {
@@ -868,9 +868,9 @@ TEST(Scheduler, PartitionAssignmentDeterministic)
 
     ParallelScheduler schedA(2), schedB(2);
     const std::vector<u32> a =
-        schedA.partitionAssignment(simA.domain("default"));
+        schedA.partitionAssignment(simA.boxes());
     const std::vector<u32> b =
-        schedB.partitionAssignment(simB.domain("default"));
+        schedB.partitionAssignment(simB.boxes());
     ASSERT_EQ(a.size(), 12u);
     EXPECT_EQ(a, b);
     for (u32 p : a)
@@ -879,7 +879,7 @@ TEST(Scheduler, PartitionAssignmentDeterministic)
     for (u32 i = 0; i < 6; ++i)
         EXPECT_EQ(a[2 * i], a[2 * i + 1]) << "pair " << i;
     // The pairs are mutually disconnected, so no signal need cross.
-    EXPECT_EQ(schedA.crossSignals(simA.domain("default")), 0u);
+    EXPECT_EQ(schedA.crossSignals(simA.boxes()), 0u);
     // Both partitions actually get work (3 pairs each by LPT).
     EXPECT_NE(a.front(),
               a[2 * 5]); // At least two distinct partitions used.
@@ -914,37 +914,6 @@ TEST(Scheduler, MakeSchedulerFactory)
     EXPECT_STREQ(parallel->name(), "parallel");
     EXPECT_EQ(parallel->threadCount(), 3u);
     EXPECT_THROW(makeScheduler("bogus"), FatalError);
-}
-
-TEST(ClockDomain, DividerGatesTicks)
-{
-    Simulator sim;
-
-    class TickBox : public Box
-    {
-      public:
-        TickBox(SignalBinder& binder, StatisticManager& stats,
-                std::string name)
-            : Box(binder, stats, std::move(name))
-        {}
-        void update(Cycle) override { ++ticks; }
-        u32 ticks = 0;
-    };
-
-    TickBox fast(sim.binder(), sim.stats(), "fast");
-    TickBox slow(sim.binder(), sim.stats(), "slow");
-    sim.domain("core").addBox(&fast);
-    sim.domain("memory", 3).addBox(&slow);
-
-    sim.run(9);
-    EXPECT_EQ(fast.ticks, 9u);
-    EXPECT_EQ(slow.ticks, 3u);
-    EXPECT_EQ(sim.domain("core").cycle(), 9u);
-    EXPECT_EQ(sim.domain("memory", 3).cycle(), 3u);
-
-    // Re-requesting an existing domain with a different divider is a
-    // configuration error.
-    EXPECT_THROW(sim.domain("memory", 2), FatalError);
 }
 
 TEST(Simulator, DrainDetection)
