@@ -2,8 +2,10 @@
  * @file
  * Micro benchmark for the shader-emulator hot path: the per-lane
  * reference interpreter (ShaderEmulator::run) against the
- * pre-decoded quad-lockstep interpreter (runQuad) the simulator
- * executes, over ALU-, texture- and KIL-heavy fragment programs.
+ * pre-decoded quad kernel, over ALU-, texture- and KIL-heavy
+ * fragment programs.  The quad column runs the kernel through
+ * runQuad, a loop over the same step core the ShaderUnit executes
+ * through stepQuad, so it times the timing model's kernel.
  *
  * Both modes must produce bit-identical output registers and kill
  * masks — the bench exits non-zero on any mismatch, so it doubles as

@@ -84,8 +84,6 @@ DecodedProgram::decode(const ShaderProgram& program)
         d.texBiased = ins.op == Opcode::TXB;
         for (u32 i = 0; i < info.numSrc; ++i)
             d.src[i] = decodeSrc(ins.src[i]);
-        out.hasTexture = out.hasTexture || d.isTexture;
-        out.hasKil = out.hasKil || ins.op == Opcode::KIL;
         out.code.push_back(d);
     }
     return out;

@@ -15,8 +15,8 @@
  * again.
  *
  * Decoding changes *where* values are read from, never *how* they
- * are combined: the arithmetic in the decoded interpreter is
- * expression-for-expression identical to ShaderEmulator::step(), so
+ * are combined: the arithmetic in the quad kernel is
+ * expression-for-expression identical to ShaderEmulator::run(), so
  * registers stay bit-identical with the scalar reference interpreter.
  */
 
@@ -76,8 +76,8 @@ struct DecodedSrc
     bool negate = false;
 };
 
-/** A pre-resolved instruction: everything step() decides per step,
- * decided once. */
+/** A pre-resolved instruction: everything the scalar interpreter
+ * decides per step, decided once. */
 struct DecodedIns
 {
     Opcode op = Opcode::END;
@@ -105,13 +105,7 @@ struct DecodedProgram
 {
     std::vector<DecodedIns> code;
 
-    /** Whether any instruction is a texture access / a KIL.  A
-     * program with neither keeps a quad converged from start to
-     * END, which the quad interpreter exploits. */
-    bool hasTexture = false;
-    bool hasKil = false;
-
-    /** Decode @p program (panics on invalid banks, like step()). */
+    /** Decode @p program (panics on invalid banks, like run()). */
     static DecodedProgram decode(const ShaderProgram& program);
 };
 

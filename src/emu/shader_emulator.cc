@@ -1,5 +1,6 @@
 #include "emu/shader_emulator.hh"
 
+#include <bit>
 #include <cmath>
 
 #include "emu/decoded_program.hh"
@@ -76,13 +77,14 @@ litOp(const Vec4& s)
     return {1.0f, diffuse, specular, 1.0f};
 }
 
-} // anonymous namespace
-
-StepResult
-ShaderEmulator::step(const ShaderProgram& program,
-                     const ConstantBank& constants,
-                     ShaderThreadState& state,
-                     const ImmediateSampler* sampler) const
+/**
+ * Execute the instruction at @p state.pc for one thread; texture
+ * instructions resolve through @p sampler.  Returns true when the
+ * thread is done (END reached or fragment killed).
+ */
+bool
+stepScalar(const ShaderProgram& program, const ConstantBank& constants,
+           ShaderThreadState& state, const ImmediateSampler* sampler)
 {
     if (state.pc >= program.code.size())
         panic("shader emulator: pc ", state.pc,
@@ -92,33 +94,21 @@ ShaderEmulator::step(const ShaderProgram& program,
     const Instruction& ins = program.code[state.pc];
     const OpcodeInfo& info = opcodeInfo(ins.op);
 
-    StepResult result;
-    result.latency = info.latency;
-
-    if (ins.op == Opcode::END) {
-        result.outcome = StepOutcome::Done;
-        return result;
-    }
+    if (ins.op == Opcode::END)
+        return true;
 
     if (info.isTexture) {
+        if (!sampler || !*sampler)
+            panic("shader emulator: run() needs an immediate sampler"
+                  " for texture instructions");
         const Vec4 coord = readSrc(ins.src[0], state, constants);
         const bool projected = ins.op == Opcode::TXP;
         const f32 bias = ins.op == Opcode::TXB ? coord.w : 0.0f;
-        if (!sampler || !*sampler) {
-            result.outcome = StepOutcome::TexRequest;
-            result.texUnit = ins.texUnit;
-            result.texTarget = ins.texTarget;
-            result.texCoord = coord;
-            result.texLodBias = bias;
-            result.texProjected = projected;
-            return result;
-        }
         const Vec4 texel = (*sampler)(ins.texUnit, ins.texTarget,
                                       coord, bias, projected);
         writeDst(ins, state, texel);
         ++state.pc;
-        result.outcome = StepOutcome::Continue;
-        return result;
+        return false;
     }
 
     Vec4 a, b, c;
@@ -168,12 +158,10 @@ ShaderEmulator::step(const ShaderProgram& program,
       case Opcode::KIL:
         if (a.x < 0.0f || a.y < 0.0f || a.z < 0.0f || a.w < 0.0f) {
             state.killed = true;
-            result.outcome = StepOutcome::Done;
-            return result;
+            return true;
         }
         ++state.pc;
-        result.outcome = StepOutcome::Continue;
-        return result;
+        return false;
       case Opcode::LG2:
         r = smear(std::log2(a.x));
         break;
@@ -232,22 +220,10 @@ ShaderEmulator::step(const ShaderProgram& program,
 
     writeDst(ins, state, r);
     ++state.pc;
-    result.outcome = StepOutcome::Continue;
-    return result;
+    return false;
 }
 
-void
-ShaderEmulator::completeTexture(const ShaderProgram& program,
-                                ShaderThreadState& state,
-                                const Vec4& texel) const
-{
-    const Instruction& ins = program.code[state.pc];
-    if (!opcodeInfo(ins.op).isTexture)
-        panic("shader emulator: completeTexture at a non-texture"
-              " instruction");
-    writeDst(ins, state, texel);
-    ++state.pc;
-}
+} // anonymous namespace
 
 bool
 ShaderEmulator::run(const ShaderProgram& program,
@@ -256,21 +232,17 @@ ShaderEmulator::run(const ShaderProgram& program,
                     const ImmediateSampler* sampler) const
 {
     for (u32 guard = 0; guard < 65536; ++guard) {
-        const StepResult res = step(program, constants, state,
-                                    sampler);
-        if (res.outcome == StepOutcome::Done)
+        if (stepScalar(program, constants, state, sampler))
             return !state.killed;
-        if (res.outcome == StepOutcome::TexRequest)
-            panic("shader emulator: run() needs an immediate sampler"
-                  " for texture instructions");
     }
     panic("shader emulator: program did not terminate");
 }
 
 // ---- Pre-decoded quad interpreter ------------------------------
 //
-// The interpreters below re-use the exact per-component expressions
-// of step() (see execDecodedAlu); only operand *addressing* changed.
+// The quad kernel below re-uses the exact per-component expressions
+// of the scalar interpreter above (see execDecodedAlu); only operand
+// *addressing* changed.
 
 namespace
 {
@@ -296,10 +268,13 @@ readSrcD(const DecodedSrc& src, const ShaderThreadState& state,
                         : decoded::regs(state)[src.offset];
     if (src.identity)
         return v;
+    // Swizzle by array index: Vec4::operator[] is a switch, so each
+    // swizzled component would otherwise cost a branch.
+    const auto c = std::bit_cast<std::array<f32, 4>>(v);
     const Vec4 r = src.splat
-                       ? Vec4(v[static_cast<u32>(src.splat - 1)])
-                       : Vec4(v[src.swz[0]], v[src.swz[1]],
-                              v[src.swz[2]], v[src.swz[3]]);
+                       ? Vec4(c[static_cast<u32>(src.splat - 1)])
+                       : Vec4(c[src.swz[0]], c[src.swz[1]],
+                              c[src.swz[2]], c[src.swz[3]]);
     return src.negate ? -r : r;
 }
 
@@ -335,11 +310,11 @@ writeDstD(const DecodedIns& ins, ShaderThreadState& state,
 }
 
 /**
- * The ALU dispatch shared by the scalar-decoded and quad paths: one
- * switch per *instruction*, then @p forLanes applies the case to
- * each live lane.  Every case computes the same expression as the
- * matching case of ShaderEmulator::step(), in the same per-lane
- * order, so results are bit-identical to the reference interpreter.
+ * The quad kernel's ALU dispatch: one switch per *instruction*, then
+ * @p forLanes applies the case to each live lane.  Every case
+ * computes the same expression as the matching case of the scalar
+ * interpreter, in the same per-lane order, so results are
+ * bit-identical to the reference interpreter.
  */
 template <typename ForLanes>
 inline void
@@ -546,61 +521,36 @@ execDecodedAlu(const DecodedIns& ins, const ConstantBank& constants,
 }
 
 /**
- * Operands of one quad texture access: per-lane coordinates (done
- * lanes keep the default value), the live-lane mask and the one LOD
- * bias the quad shares, taken from the *last* live lane's TXB
- * coordinate.w.  Both quad kernels build their requests here, so the
- * timing and reference images always sample with the same bias.
+ * The quad kernel: execute one instruction for every live lane of a
+ * quad in lockstep.  stepQuad() (the ShaderUnit) returns its result
+ * and runQuad() (the reference renderer) loops over it, so both
+ * execute every instruction through this one definition.
+ *
+ * A texture instruction advances no pc: it reports the per-lane
+ * coordinates (done lanes get the default value), the live-lane
+ * mask and the one LOD bias the quad shares, taken from the *last*
+ * live lane's TXB coordinate.w.
+ *
+ * Every call writes @p result's outcome and latency, and a
+ * TexRequest writes every texture field, so runQuad() reuses one
+ * result instead of zero-filling a fresh one per instruction.
  */
-struct QuadTexOperands
+ATTILA_EMU_FORCE_INLINE void
+stepQuadCore(const DecodedProgram& program, const ConstantBank& constants,
+             std::array<ShaderThreadState, 4>& lanes,
+             std::array<bool, 4>& laneDone, QuadStepResult& result)
 {
-    std::array<Vec4, 4> coords{};
-    u8 liveMask = 0;
-    f32 lodBias = 0.0f;
-};
-
-QuadTexOperands
-quadTexOperands(const DecodedIns& ins,
-                const std::array<ShaderThreadState, 4>& lanes,
-                const std::array<bool, 4>& laneDone,
-                const ConstantBank& constants)
-{
-    QuadTexOperands ops;
-    for (u32 l = 0; l < 4; ++l) {
-        if (laneDone[l])
-            continue;
-        ops.coords[l] = readSrcD(ins.src[0], lanes[l], constants);
-        ops.liveMask |= static_cast<u8>(1u << l);
-        if (ins.texBiased)
-            ops.lodBias = ops.coords[l].w;
-    }
-    return ops;
-}
-
-} // anonymous namespace
-
-QuadStepResult
-ShaderEmulator::stepQuad(const DecodedProgram& program,
-                         const ConstantBank& constants,
-                         std::array<ShaderThreadState, 4>& lanes,
-                         std::array<bool, 4>& laneDone) const
-{
-    QuadStepResult result;
-
     // Reference lane: the first live one (all live lanes share pc).
-    s32 ref = -1;
-    for (u32 l = 0; l < 4; ++l) {
-        if (!laneDone[l]) {
-            ref = static_cast<s32>(l);
-            break;
-        }
-    }
-    if (ref < 0) {
+    u32 ref = 0;
+    while (ref < 4 && laneDone[ref])
+        ++ref;
+    if (ref == 4) {
         result.outcome = StepOutcome::Done;
-        return result;
+        result.latency = 1;
+        return;
     }
 
-    const u32 pc = lanes[static_cast<u32>(ref)].pc;
+    const u32 pc = lanes[ref].pc;
     if (pc >= program.code.size())
         panic("shader emulator: pc ", pc,
               " past the end of a program of length ",
@@ -612,19 +562,28 @@ ShaderEmulator::stepQuad(const DecodedProgram& program,
         for (u32 l = 0; l < 4; ++l)
             laneDone[l] = true;
         result.outcome = StepOutcome::Done;
-        return result;
+        return;
     }
 
     if (ins.isTexture) {
-        const QuadTexOperands ops =
-            quadTexOperands(ins, lanes, laneDone, constants);
         result.outcome = StepOutcome::TexRequest;
         result.texUnit = ins.texUnit;
         result.texTarget = ins.texTarget;
         result.texProjected = ins.texProjected;
-        result.texCoords = ops.coords;
-        result.texLodBias = ops.lodBias;
-        return result;
+        result.texLiveMask = 0;
+        result.texLodBias = 0.0f;
+        for (u32 l = 0; l < 4; ++l) {
+            if (laneDone[l]) {
+                result.texCoords[l] = Vec4();
+                continue;
+            }
+            result.texCoords[l] =
+                readSrcD(ins.src[0], lanes[l], constants);
+            result.texLiveMask |= static_cast<u8>(1u << l);
+            if (ins.texBiased)
+                result.texLodBias = result.texCoords[l].w;
+        }
+        return;
     }
 
     if (ins.op == Opcode::KIL) {
@@ -645,21 +604,45 @@ ShaderEmulator::stepQuad(const DecodedProgram& program,
         }
         result.outcome =
             allDone ? StepOutcome::Done : StepOutcome::Continue;
-        return result;
+        return;
     }
 
-    const auto liveLanes = [&](auto&& fn) {
-        for (u32 l = 0; l < 4; ++l) {
-            if (!laneDone[l])
-                fn(lanes[l]);
-        }
-    };
-    execDecodedAlu(ins, constants, liveLanes);
+    // Lanes run in order 0..3 either way; the unrolled all-live form
+    // just drops the per-lane done tests of the common case.
+    if (ref == 0 && !laneDone[1] && !laneDone[2] && !laneDone[3]) {
+        const auto allLanes = [&](auto&& fn) {
+            fn(lanes[0]);
+            fn(lanes[1]);
+            fn(lanes[2]);
+            fn(lanes[3]);
+        };
+        execDecodedAlu(ins, constants, allLanes);
+    } else {
+        const auto liveLanes = [&](auto&& fn) {
+            for (u32 l = 0; l < 4; ++l) {
+                if (!laneDone[l])
+                    fn(lanes[l]);
+            }
+        };
+        execDecodedAlu(ins, constants, liveLanes);
+    }
     for (u32 l = 0; l < 4; ++l) {
         if (!laneDone[l])
             ++lanes[l].pc;
     }
     result.outcome = StepOutcome::Continue;
+}
+
+} // anonymous namespace
+
+QuadStepResult
+ShaderEmulator::stepQuad(const DecodedProgram& program,
+                         const ConstantBank& constants,
+                         std::array<ShaderThreadState, 4>& lanes,
+                         std::array<bool, 4>& laneDone) const
+{
+    QuadStepResult result;
+    stepQuadCore(program, constants, lanes, laneDone, result);
     return result;
 }
 
@@ -690,147 +673,25 @@ ShaderEmulator::runQuad(const DecodedProgram& program,
                         std::array<bool, 4>& killed,
                         const QuadSampler& sampler) const
 {
-    // Tight quad-lockstep loop: identical per-lane arithmetic and
-    // ordering to stepQuad() + completeTextureQuad(), minus the
-    // per-instruction QuadStepResult and ref-lane rescans.
-    const DecodedIns* const code = program.code.data();
-    const u32 length = static_cast<u32>(program.code.size());
-    const auto liveLanes = [&](auto&& fn) {
-        for (u32 l = 0; l < 4; ++l) {
-            if (!laneDone[l])
-                fn(lanes[l]);
-        }
-    };
-    // Unrolled variant for the common all-lanes-live case (same lane
-    // order 0..3, so results match liveLanes bit for bit).
-    const auto allLanes = [&](auto&& fn) {
-        fn(lanes[0]);
-        fn(lanes[1]);
-        fn(lanes[2]);
-        fn(lanes[3]);
-    };
-    bool anyDone =
-        laneDone[0] || laneDone[1] || laneDone[2] || laneDone[3];
-    // Converged kernel: a program with no texture access and no KIL
-    // keeps every live lane in lockstep until END, so the quad shares
-    // a single register-resident pc and runs without any divergence
-    // bookkeeping (a vertex is a quad with one live lane).  Live
-    // lanes run in order 0..3, keeping results bit-identical to the
-    // general path below.
-    if (!program.hasTexture && !program.hasKil) {
-        std::array<ShaderThreadState*, 4> live{};
-        u32 numLive = 0;
-        for (u32 l = 0; l < 4; ++l) {
-            if (!laneDone[l])
-                live[numLive++] = &lanes[l];
-        }
-        const auto liveOnly = [&](auto&& fn) {
-            for (u32 i = 0; i < numLive; ++i)
-                fn(*live[i]);
-        };
-        const auto converged = [&](auto&& visit) {
-            u32 pc = live[0]->pc;
-            for (u32 guard = 0; guard < 65536; ++guard) {
-                if (pc >= length)
-                    panic("shader emulator: pc ", pc,
-                          " past the end of a program of length ",
-                          length);
-                const DecodedIns& ins = code[pc];
-                if (ins.op == Opcode::END) {
-                    for (u32 i = 0; i < numLive; ++i)
-                        live[i]->pc = pc;
-                    for (u32 l = 0; l < 4; ++l) {
-                        laneDone[l] = true;
-                        killed[l] = lanes[l].killed;
-                    }
-                    return;
-                }
-                execDecodedAlu(ins, constants, visit);
-                ++pc;
-            }
-            panic("shader emulator: program did not terminate");
-        };
-        if (numLive == 4)
-            return converged(allLanes);
-        if (numLive > 0)
-            return converged(liveOnly);
-    }
+    QuadStepResult r;
     for (u32 guard = 0; guard < 65536; ++guard) {
-        s32 ref = -1;
-        if (!anyDone) {
-            ref = 0;
-        } else {
-            for (u32 l = 0; l < 4; ++l) {
-                if (!laneDone[l]) {
-                    ref = static_cast<s32>(l);
-                    break;
-                }
-            }
-        }
-        if (ref < 0)
-            break;
-        const u32 pc = lanes[static_cast<u32>(ref)].pc;
-        if (pc >= length)
-            panic("shader emulator: pc ", pc,
-                  " past the end of a program of length ", length);
-        const DecodedIns& ins = code[pc];
-        if (ins.op == Opcode::END) {
+        stepQuadCore(program, constants, lanes, laneDone, r);
+        if (r.outcome == StepOutcome::Done) {
             for (u32 l = 0; l < 4; ++l)
-                laneDone[l] = true;
-            break;
+                killed[l] = lanes[l].killed;
+            return;
         }
-        if (ins.isTexture) {
-            if (!sampler)
-                panic("shader emulator: runQuad() needs a quad"
-                      " sampler for texture instructions");
-            const QuadTexOperands ops =
-                quadTexOperands(ins, lanes, laneDone, constants);
-            const std::array<Vec4, 4> texels =
-                sampler(ins.texUnit, ins.texTarget, ops.coords,
-                        ops.liveMask, ops.lodBias, ins.texProjected);
-            for (u32 l = 0; l < 4; ++l) {
-                if (laneDone[l])
-                    continue;
-                writeDstD(ins, lanes[l], texels[l]);
-                ++lanes[l].pc;
-            }
+        if (r.outcome != StepOutcome::TexRequest)
             continue;
-        }
-        if (ins.op == Opcode::KIL) {
-            for (u32 l = 0; l < 4; ++l) {
-                if (laneDone[l])
-                    continue;
-                const Vec4 a =
-                    readSrcD(ins.src[0], lanes[l], constants);
-                if (a.x < 0.0f || a.y < 0.0f || a.z < 0.0f ||
-                    a.w < 0.0f) {
-                    lanes[l].killed = true;
-                    laneDone[l] = true;
-                    anyDone = true;
-                } else {
-                    ++lanes[l].pc;
-                }
-            }
-            continue;
-        }
-        if (anyDone) {
-            execDecodedAlu(ins, constants, liveLanes);
-            for (u32 l = 0; l < 4; ++l) {
-                if (!laneDone[l])
-                    ++lanes[l].pc;
-            }
-        } else {
-            execDecodedAlu(ins, constants, allLanes);
-            for (u32 l = 0; l < 4; ++l)
-                ++lanes[l].pc;
-        }
-        continue;
+        if (!sampler)
+            panic("shader emulator: runQuad() needs a quad sampler"
+                  " for texture instructions");
+        completeTextureQuad(program, lanes, laneDone,
+                            sampler(r.texUnit, r.texTarget, r.texCoords,
+                                    r.texLiveMask, r.texLodBias,
+                                    r.texProjected));
     }
-    for (u32 l = 0; l < 4; ++l) {
-        if (!laneDone[l])
-            panic("shader emulator: program did not terminate");
-        killed[l] = lanes[l].killed;
-    }
+    panic("shader emulator: program did not terminate");
 }
 
 ConstantBank

@@ -5,15 +5,14 @@
  * (paper §3).
  *
  * The emulator is pure functional code: it knows nothing about
- * cycles.  The timing boxes (ShaderUnit) call stepQuad() to execute
- * one instruction for a 2x2 quad and learn its latency class; the
- * reference renderer calls runQuad() to execute a whole program.
- * Both run a pre-decoded program.  The scalar step()/run() pair
- * interprets a ShaderProgram directly and is kept as the reference
- * interpreter the tests and the shader micro benchmark compare
- * against.  Texture sampling is delegated through sampler callbacks
- * so that the timing path can route requests through the Texture
- * Unit while functional paths sample immediately.
+ * cycles.  One quad kernel defines how a pre-decoded instruction
+ * executes for a 2x2 quad.  The timing boxes (ShaderUnit) call
+ * stepQuad() to run it one instruction at a time and learn each
+ * latency class; the reference renderer calls runQuad(), a loop over
+ * the same kernel that answers texture requests through a sampler
+ * callback.  The scalar run() interprets a ShaderProgram directly
+ * and is kept as the reference interpreter the tests and the shader
+ * micro benchmark compare against.
  */
 
 #ifndef ATTILA_EMU_SHADER_EMULATOR_HH
@@ -54,12 +53,12 @@ struct ShaderThreadState
 using ConstantBank = std::array<Vec4, regix::numParamRegs>;
 
 /**
- * Callback used to resolve TEX/TXB/TXP instructions immediately
- * (functional paths).  Arguments: texture unit, target, coordinate
- * (TXP already projected, TXB bias in coordinate.w per ARB).
+ * Callback the scalar run() resolves TEX/TXB/TXP instructions
+ * through.  Arguments: texture unit, target, unprojected coordinate,
+ * TXB bias (coordinate.w per ARB) and whether the access is a TXP.
  *
  * Non-owning (sim::FunctionRef): bind it to a *named* callable that
- * outlives every step()/run() call, never to a temporary lambda.
+ * outlives every run() call, never to a temporary lambda.
  */
 using ImmediateSampler =
     sim::FunctionRef<Vec4(u32 unit, TexTarget target,
@@ -86,32 +85,20 @@ enum class StepOutcome : u8
     TexRequest, ///< Texture access: the caller must service it.
 };
 
-/** Result of ShaderEmulator::step(). */
-struct StepResult
-{
-    StepOutcome outcome = StepOutcome::Continue;
-    u32 latency = 1;       ///< Execution latency class in cycles.
-    // Valid when outcome == TexRequest:
-    u32 texUnit = 0;
-    TexTarget texTarget = TexTarget::Tex2D;
-    Vec4 texCoord;         ///< Post-swizzle source coordinate.
-    f32 texLodBias = 0.0f; ///< TXB bias (coordinate.w).
-    bool texProjected = false; ///< TXP: divide coords by q.
-};
-
 /** Result of ShaderEmulator::stepQuad(). */
 struct QuadStepResult
 {
     /** Done means every lane of the quad has finished. */
     StepOutcome outcome = StepOutcome::Continue;
     u32 latency = 1;
-    // Valid when outcome == TexRequest (inactive lanes keep default
-    // coordinates, exactly as the per-lane request build does):
+    // Valid when outcome == TexRequest (done lanes get the default
+    // coordinates):
     u32 texUnit = 0;
     TexTarget texTarget = TexTarget::Tex2D;
     std::array<Vec4, 4> texCoords{};
-    f32 texLodBias = 0.0f;
-    bool texProjected = false;
+    u8 texLiveMask = 0; ///< Bit l set for each live lane.
+    f32 texLodBias = 0.0f; ///< Shared TXB bias (last live lane).
+    bool texProjected = false; ///< TXP: divide coords by q.
 };
 
 /**
@@ -124,30 +111,9 @@ class ShaderEmulator
 {
   public:
     /**
-     * Execute the instruction at @p state.pc of @p program.
-     *
-     * When the instruction is a texture access and @p sampler is
-     * null, the result has outcome TexRequest and the thread's pc is
-     * NOT advanced: the caller services the request and then calls
-     * completeTexture().  With a non-null @p sampler the access is
-     * resolved inline.
-     */
-    StepResult step(const ShaderProgram& program,
-                    const ConstantBank& constants,
-                    ShaderThreadState& state,
-                    const ImmediateSampler* sampler = nullptr) const;
-
-    /**
-     * Finish a pending texture access: write @p texel into the
-     * destination of the instruction at state.pc and advance.
-     */
-    void completeTexture(const ShaderProgram& program,
-                         ShaderThreadState& state,
-                         const Vec4& texel) const;
-
-    /**
      * Run @p program to completion for @p state using @p sampler for
-     * texture accesses.  Returns false when the fragment was killed.
+     * texture accesses (a texture instruction without one panics).
+     * Returns false when the fragment was killed.
      */
     bool run(const ShaderProgram& program,
              const ConstantBank& constants, ShaderThreadState& state,
@@ -156,11 +122,11 @@ class ShaderEmulator
     // ---- Pre-decoded quad interpreter (emu/decoded_program.hh) ----
     //
     // The timing model and the reference renderer both execute
-    // through these.  They run the same arithmetic in the same
-    // per-lane order as step(), so registers stay bit-identical with
-    // the scalar interpreter above, which remains the test oracle.
-    // A single thread (a vertex in the reference renderer) is a quad
-    // with one live lane.
+    // through one quad kernel.  It runs the same arithmetic in the
+    // same per-lane order as run(), so registers stay bit-identical
+    // with the scalar interpreter above, which remains the test
+    // oracle.  A single thread (a vertex in the reference renderer)
+    // is a quad with one live lane.
 
     /**
      * Execute one instruction for every live lane of a quad in
@@ -182,9 +148,10 @@ class ShaderEmulator
                              const std::array<Vec4, 4>& texels) const;
 
     /**
-     * Run a quad to completion in lockstep; texture instructions
-     * resolve through @p sampler.  On return every lane is done and
-     * killed[l] reports the KIL outcomes.
+     * Run a quad to completion: stepQuad() until done, answering each
+     * texture request through @p sampler and completeTextureQuad().
+     * On return every lane is done and killed[l] reports the KIL
+     * outcomes.
      */
     void runQuad(const DecodedProgram& program,
                  const ConstantBank& constants,

@@ -615,28 +615,31 @@ TextureEmulator::quadFootprint(const TextureDescriptor& desc,
     }
 }
 
-std::array<Vec4, 4>
-TextureEmulator::sampleQuad(const TextureDescriptor& desc,
-                            const std::array<Vec4, 4>& coords,
-                            f32 lodBias, const MemoryReader& mem,
-                            u32* bilinearOps)
+u32
+TextureEmulator::planQuad(const TextureDescriptor& desc,
+                          const std::array<Vec4, 4>& coords,
+                          f32 lodBias, bool projected,
+                          std::array<SamplePlan, 4>& plans)
 {
+    std::array<Vec4, 4> st = coords;
+    if (projected) {
+        for (Vec4& c : st) {
+            const f32 q = c.w != 0.0f ? c.w : 1.0f;
+            c = {c.x / q, c.y / q, c.z / q, 1.0f};
+        }
+    }
+
     u32 aniso;
     f32 lod;
     Vec4 majorAxis;
-    quadFootprint(desc, coords, lodBias, aniso, lod, majorAxis);
+    quadFootprint(desc, st, lodBias, aniso, lod, majorAxis);
 
-    u32 ops = 0;
-    std::array<Vec4, 4> out;
-    for (u32 i = 0; i < 4; ++i) {
-        const SamplePlan plan =
-            planSample(desc, coords[i], lod, aniso, majorAxis);
-        out[i] = executePlan(desc, plan, mem);
-        ops += plan.bilinearOps;
+    u32 bilinearOps = 0;
+    for (u32 l = 0; l < 4; ++l) {
+        plans[l] = planSample(desc, st[l], lod, aniso, majorAxis);
+        bilinearOps += plans[l].bilinearOps;
     }
-    if (bilinearOps)
-        *bilinearOps = ops;
-    return out;
+    return bilinearOps;
 }
 
 void

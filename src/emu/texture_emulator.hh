@@ -175,8 +175,8 @@ class TextureEmulator
     /**
      * Full footprint analysis of a quad: anisotropy sample count,
      * (aniso-adjusted) level-of-detail and the major axis step in
-     * (s, t) space.  The Texture Unit uses this to plan the quad's
-     * four samples.
+     * (s, t) space.  planQuad() uses this to plan the quad's four
+     * samples.
      */
     static void quadFootprint(const TextureDescriptor& desc,
                               const std::array<Vec4, 4>& coords,
@@ -189,15 +189,18 @@ class TextureEmulator
                        const MemoryReader& mem);
 
     /**
-     * Full quad sample as the Texture Unit performs it: derive lod
-     * and anisotropy from the quad, apply @p lodBias, sample all four
-     * fragments.  Returns the total bilinear operation count in
-     * @p bilinearOps (for timing).
+     * Plan one quad texture request as the Texture Unit performs it:
+     * project the coordinates when @p projected (TXP: divide by q,
+     * a zero q reads as 1), derive the quad footprint with
+     * @p lodBias applied, then plan each of the four lanes' samples
+     * into @p plans.  Done lanes are planned too, since their
+     * coordinates shape the footprint.  Returns the total bilinear
+     * operation count (for timing).
      */
-    static std::array<Vec4, 4>
-    sampleQuad(const TextureDescriptor& desc,
-               const std::array<Vec4, 4>& coords, f32 lodBias,
-               const MemoryReader& mem, u32* bilinearOps = nullptr);
+    static u32 planQuad(const TextureDescriptor& desc,
+                        const std::array<Vec4, 4>& coords,
+                        f32 lodBias, bool projected,
+                        std::array<SamplePlan, 4>& plans);
 
     /** Decode one texel straight from memory (nearest, no filter). */
     static Vec4 fetchTexel(const TextureDescriptor& desc, u8 face,

@@ -257,19 +257,57 @@ applyCompositeKeys(GpuConfig& c, const sim::ConfigFile& cfg)
 }
 
 /**
- * Reject 0 for the queue and window sizes that the model divides by
- * or can never make progress without: a zero-slot Streamer ring, an
- * empty fetch, shader or texture window stalls the pipeline forever.
+ * Reject 0, naming the key and where it was set, for every key the
+ * model cannot run with at 0: a zero unit count, line, tile, page or
+ * channel width divides by zero; a zero fetch rate, port count or
+ * queue/window size stalls the pipeline forever; and a zero signal
+ * bandwidth, latency or queue size (the credit wire's bandwidth)
+ * would otherwise be rejected by the signal layer under a wire's
+ * name.
  */
 void
 checkNonZeroKeys(const GpuConfig& c, const sim::ConfigFile& cfg)
 {
     const std::pair<const char*, u32> keys[] = {
+        // Unit counts, rates and sizes.
+        {"shader.units", c.numShaders},
+        {"shader.vertexUnits", c.numVertexShaders},
+        {"shader.vertexThreads", c.vertexShaderThreads},
+        {"shader.fetchRate", c.shaderFetchRate},
+        {"texture.units", c.numTextureUnits},
+        {"texture.cacheLine", c.textureCacheLine},
+        {"texture.cachePorts", c.textureCachePorts},
+        {"rop.units", c.numRops},
+        {"rop.zCacheLine", c.zCacheLine},
+        {"rop.colorCacheLine", c.colorCacheLine},
+        {"geometry.genTileSize", c.genTileSize},
+        {"hz.tilesPerCycle", c.hzTilesPerCycle},
+        {"memory.channels", c.memoryChannels},
+        {"memory.bytesPerCycle", c.channelBytesPerCycle},
+        {"memory.burstBytes", c.memoryBurstBytes},
+        {"memory.interleave", c.channelInterleave},
+        {"memory.pageBytes", c.memoryPageBytes},
+        {"memory.systemBusBytesPerCycle", c.systemBusBytesPerCycle},
+        // Queues and windows held inside a box.
         {"geometry.streamerQueue", c.streamerQueue},
         {"geometry.vertexRequestQueue", c.vertexRequestQueue},
         {"shader.inputsInFlight", c.shaderInputsInFlight},
         {"shader.registers", c.shaderRegisters},
         {"texture.requestQueue", c.textureRequestQueue},
+        // Signal bandwidths, latencies and queue sizes.
+        {"geometry.primitiveAssemblyQueue", c.primitiveAssemblyQueue},
+        {"geometry.trianglesPerCycle", c.trianglesPerCycle},
+        {"geometry.clipperQueue", c.clipperQueue},
+        {"geometry.clipperLatency", c.clipperLatency},
+        {"geometry.setupQueue", c.setupQueue},
+        {"geometry.setupLatency", c.setupLatency},
+        {"geometry.fragmentGenQueue", c.fragmentGenQueue},
+        {"geometry.tilesPerCycle", c.tilesPerCycle},
+        {"hz.queue", c.hzQueue},
+        {"interpolator.quadsPerCycle", c.interpolatorQuadsPerCycle},
+        {"ffifo.queue", c.fragmentFifoQueue},
+        {"rop.latency", c.ropLatency},
+        {"memory.requestQueue", c.memoryRequestQueue},
     };
     for (const auto& [key, value] : keys) {
         const sim::ConfigFile::Entry* e = cfg.find(key);

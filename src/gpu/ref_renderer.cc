@@ -135,38 +135,24 @@ RefRenderer::shadeQuad(std::array<emu::ShaderThreadState, 4>& lanes,
                        std::array<bool, 4>& killed) const
 {
     // Quad-lockstep execution with quad-context texture sampling,
-    // exactly as the shader units + texture units do it: project,
-    // compute the shared footprint, then plan and execute each live
-    // lane's sample with one decoded-block cache per quad (pure
-    // memoization).
+    // exactly as the shader units + texture units do it: plan the
+    // quad request, then execute each live lane's plan with one
+    // decoded-block cache per quad (pure memoization).
     auto quadSample = [&](u32 unit, emu::TexTarget,
-                          const std::array<Vec4, 4>& rawCoords,
+                          const std::array<Vec4, 4>& coords,
                           u8 liveMask, f32 lodBias,
                           bool projected) -> std::array<Vec4, 4> {
-        std::array<Vec4, 4> coords = rawCoords;
-        if (projected) {
-            for (u32 l = 0; l < 4; ++l) {
-                const f32 q = coords[l].w != 0.0f ? coords[l].w : 1.0f;
-                coords[l] = {coords[l].x / q, coords[l].y / q,
-                             coords[l].z / q, 1.0f};
-            }
-        }
         const emu::TextureDescriptor& desc = _state.textures[unit];
-        u32 aniso;
-        f32 lod;
-        Vec4 majorAxis;
-        TextureEmulator::quadFootprint(desc, coords, lodBias, aniso,
-                                       lod, majorAxis);
+        std::array<emu::SamplePlan, 4> plans;
+        TextureEmulator::planQuad(desc, coords, lodBias, projected,
+                                  plans);
         std::array<Vec4, 4> texels{};
         emu::TexBlockCache blockCache;
         for (u32 l = 0; l < 4; ++l) {
             if (!(liveMask & (1u << l)))
                 continue;
             texels[l] = TextureEmulator::executePlan(
-                desc,
-                TextureEmulator::planSample(desc, coords[l], lod, aniso,
-                                            majorAxis),
-                *_memory, &blockCache);
+                desc, plans[l], *_memory, &blockCache);
         }
         return texels;
     };

@@ -67,33 +67,16 @@ TextureUnit::planRequest(Active& active)
     const emu::TextureDescriptor& desc =
         state.textures[req.textureUnit];
 
-    // Project coordinates (TXP) before planning.
-    std::array<emu::Vec4, 4> coords = req.coords;
-    if (req.projected) {
-        for (u32 l = 0; l < 4; ++l) {
-            const f32 q = coords[l].w != 0.0f ? coords[l].w : 1.0f;
-            coords[l] = {coords[l].x / q, coords[l].y / q,
-                         coords[l].z / q, 1.0f};
-        }
-    }
-
-    u32 aniso;
-    f32 lod;
-    emu::Vec4 majorAxis;
-    TextureEmulator::quadFootprint(desc, coords, req.lodBias, aniso,
-                                   lod, majorAxis);
+    active.bilinearOps = TextureEmulator::planQuad(
+        desc, req.coords, req.lodBias, req.projected, active.plans);
 
     // Collect every touched line, then sort + deduplicate into
     // ascending unique order (the vector keeps its capacity across
     // requests).
-    active.bilinearOps = 0;
     std::vector<u32>& lines = active.lineAddrs;
     lines.clear();
-    for (u32 l = 0; l < 4; ++l) {
-        active.plans[l] = TextureEmulator::planSample(
-            desc, coords[l], lod, aniso, majorAxis);
-        active.bilinearOps += active.plans[l].bilinearOps;
-        for (const emu::TexelRef& ref : active.plans[l].texels) {
+    for (const emu::SamplePlan& plan : active.plans) {
+        for (const emu::TexelRef& ref : plan.texels) {
             lines.push_back(ref.address -
                             ref.address % _config.textureCacheLine);
             // Texels may straddle a line boundary (DXT blocks).

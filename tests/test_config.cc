@@ -276,10 +276,27 @@ TEST(GpuConfigText, ZeroQueueSizesAreRejectedWithKeyAndOrigin)
 {
     // A zero-slot queue or window would stall the pipeline forever
     // (or divide by zero indexing the Streamer's ring).
+    // Zero unit counts, rates and sizes crash with SIGFPE or hang.
+    // A zero signal bandwidth, latency or queue size must name the
+    // key, not the wire the signal layer would reject.
     const char* keys[] = {
         "geometry.streamerQueue", "geometry.vertexRequestQueue",
         "shader.inputsInFlight",  "shader.registers",
         "texture.requestQueue",
+        "shader.units", "shader.vertexUnits", "shader.vertexThreads",
+        "shader.fetchRate", "texture.units", "texture.cacheLine",
+        "texture.cachePorts", "rop.units", "rop.zCacheLine",
+        "rop.colorCacheLine", "geometry.genTileSize",
+        "hz.tilesPerCycle", "memory.channels", "memory.bytesPerCycle",
+        "memory.burstBytes", "memory.interleave", "memory.pageBytes",
+        "memory.systemBusBytesPerCycle",
+        "geometry.primitiveAssemblyQueue",
+        "geometry.trianglesPerCycle", "geometry.clipperQueue",
+        "geometry.clipperLatency", "geometry.setupQueue",
+        "geometry.setupLatency", "geometry.fragmentGenQueue",
+        "geometry.tilesPerCycle", "hz.queue",
+        "interpolator.quadsPerCycle", "ffifo.queue", "rop.latency",
+        "memory.requestQueue",
     };
     for (const char* key : keys) {
         const std::string k(key);

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <gtest/gtest.h>
 
+#include "emu/decoded_program.hh"
 #include "emu/shader_emulator.hh"
 #include "emu/shader_isa.hh"
 
@@ -203,6 +204,9 @@ TEST(ShaderEmulator, KilSemantics)
 
 TEST(ShaderEmulator, TextureRequestFlow)
 {
+    // The quad kernel the ShaderUnit drives: a texture instruction
+    // becomes one quad request, serviced through
+    // completeTextureQuad().
     ShaderAssembler assembler;
     auto prog = assembler.assemble(R"(!!ARBfp1.0
 TEMP c;
@@ -210,23 +214,47 @@ TEX c, fragment.texcoord[0], texture[1], 2D;
 MOV result.color, c;
 END
 )");
+    const DecodedProgram decoded = DecodedProgram::decode(*prog);
     ShaderEmulator emulator;
-    ShaderThreadState state;
-    state.in[regix::ioTexCoordBase] = {0.25f, 0.5f, 0, 0};
+    std::array<ShaderThreadState, 4> lanes;
+    for (u32 l = 0; l < 4; ++l) {
+        lanes[l].in[regix::ioTexCoordBase] = {
+            0.25f * static_cast<f32>(l + 1), 0.5f, 0, 0};
+    }
+    std::array<bool, 4> laneDone{false, true, false, false};
     ConstantBank constants{};
 
-    // Without a sampler the emulator yields a request and does not
-    // advance.
-    auto step = emulator.step(*prog, constants, state);
+    // The request carries the live lanes' coordinates (a done lane
+    // keeps the default) and advances no pc.
+    const QuadStepResult step =
+        emulator.stepQuad(decoded, constants, lanes, laneDone);
     EXPECT_EQ(step.outcome, StepOutcome::TexRequest);
     EXPECT_EQ(step.texUnit, 1u);
-    EXPECT_EQ(step.texCoord, Vec4(0.25f, 0.5f, 0, 0));
-    EXPECT_EQ(state.pc, 0u);
+    EXPECT_EQ(step.texLiveMask, 0xd);
+    EXPECT_FALSE(step.texProjected);
+    EXPECT_EQ(step.texCoords[0], Vec4(0.25f, 0.5f, 0, 0));
+    EXPECT_EQ(step.texCoords[1], Vec4());
+    EXPECT_EQ(step.texCoords[2], Vec4(0.75f, 0.5f, 0, 0));
+    EXPECT_EQ(step.texCoords[3], Vec4(1.0f, 0.5f, 0, 0));
+    for (u32 l = 0; l < 4; ++l)
+        EXPECT_EQ(lanes[l].pc, 0u) << "lane " << l;
 
-    emulator.completeTexture(*prog, state, {9, 8, 7, 6});
-    EXPECT_EQ(state.pc, 1u);
-    EXPECT_TRUE(emulator.run(*prog, constants, state));
-    EXPECT_EQ(state.out[regix::foutColor], Vec4(9, 8, 7, 6));
+    emulator.completeTextureQuad(
+        decoded, lanes, laneDone,
+        {Vec4{9, 8, 7, 6}, Vec4{1, 1, 1, 1}, Vec4{5, 4, 3, 2},
+         Vec4{3, 3, 3, 3}});
+    EXPECT_EQ(lanes[0].pc, 1u);
+    EXPECT_EQ(lanes[1].pc, 0u);
+    EXPECT_EQ(emulator.stepQuad(decoded, constants, lanes, laneDone)
+                  .outcome,
+              StepOutcome::Continue);
+    EXPECT_EQ(emulator.stepQuad(decoded, constants, lanes, laneDone)
+                  .outcome,
+              StepOutcome::Done);
+    EXPECT_EQ(lanes[0].out[regix::foutColor], Vec4(9, 8, 7, 6));
+    EXPECT_EQ(lanes[1].out[regix::foutColor], Vec4());
+    EXPECT_EQ(lanes[2].out[regix::foutColor], Vec4(5, 4, 3, 2));
+    EXPECT_EQ(lanes[3].out[regix::foutColor], Vec4(3, 3, 3, 3));
 }
 
 TEST(ShaderEmulator, ImmediateSampler)
@@ -272,12 +300,18 @@ SIN t, t.x;
 MOV result.color, t;
 END
 )");
+    // Decoding fixes each instruction's latency class; stepQuad()
+    // reports it to the ShaderUnit's scoreboard.
+    const DecodedProgram decoded = DecodedProgram::decode(*prog);
     ShaderEmulator emulator;
-    ShaderThreadState state;
+    std::array<ShaderThreadState, 4> lanes;
+    std::array<bool, 4> laneDone{};
     ConstantBank constants{};
     const u32 expected[5] = {1, 4, 6, 9, 1};
     for (u32 i = 0; i < 5; ++i) {
-        auto step = emulator.step(*prog, constants, state);
+        EXPECT_EQ(decoded.code[i].latency, expected[i]) << "instr " << i;
+        const QuadStepResult step =
+            emulator.stepQuad(decoded, constants, lanes, laneDone);
         EXPECT_EQ(step.latency, expected[i]) << "instr " << i;
     }
 }

@@ -218,17 +218,71 @@ TEST(TextureSample, BilinearOpsAccounting)
     std::array<Vec4, 4> coords = {
         Vec4{0.5f, 0.5f, 0, 0}, Vec4{0.51f, 0.5f, 0, 0},
         Vec4{0.5f, 0.51f, 0, 0}, Vec4{0.51f, 0.51f, 0, 0}};
-    u32 ops = 0;
-    TextureEmulator::sampleQuad(desc, coords, 0.0f, mem, &ops);
-    EXPECT_EQ(ops, 4u);
+    std::array<SamplePlan, 4> plans;
+    EXPECT_EQ(TextureEmulator::planQuad(desc, coords, 0.0f, false,
+                                        plans),
+              4u);
 
     // Minified between two levels: trilinear, 2 ops per fragment
     // (paper: one trilinear sample every two cycles).
     std::array<Vec4, 4> minified = {
         Vec4{0.0f, 0.0f, 0, 0}, Vec4{0.75f, 0.0f, 0, 0},
         Vec4{0.0f, 0.75f, 0, 0}, Vec4{0.75f, 0.75f, 0, 0}};
-    TextureEmulator::sampleQuad(desc, minified, 0.0f, mem, &ops);
-    EXPECT_EQ(ops, 8u);
+    EXPECT_EQ(TextureEmulator::planQuad(desc, minified, 0.0f, false,
+                                        plans),
+              8u);
+    for (const SamplePlan& plan : plans)
+        EXPECT_EQ(plan.bilinearOps, 2u);
+}
+
+TEST(TextureSample, ProjectedQuadSamplesLikePreDividedCoords)
+{
+    // A TXP request divides each lane's coordinates by its q before
+    // planning (q = 0 reads as 1), so it samples exactly what the
+    // pre-divided coordinates sample.
+    GpuMemory mem(1 << 20);
+    std::vector<u8> img(16 * 16 * 4);
+    for (u32 y = 0; y < 16; ++y) {
+        for (u32 x = 0; x < 16; ++x) {
+            u8* texel = &img[(y * 16 + x) * 4];
+            texel[0] = static_cast<u8>(x * 16);
+            texel[1] = static_cast<u8>(y * 16);
+            texel[2] = static_cast<u8>((x ^ y) * 16);
+            texel[3] = 255;
+        }
+    }
+    auto desc = makeTexture(mem, 16, {img});
+    desc.wrapS = desc.wrapT = WrapMode::Clamp;
+
+    const std::array<Vec4, 4> divided = {
+        Vec4{0.30f, 0.20f, 0, 1}, Vec4{0.40f, 0.20f, 0, 1},
+        Vec4{0.30f, 0.35f, 0, 1}, Vec4{0.45f, 0.30f, 0, 1}};
+    // Power-of-two q keeps every division exact.
+    const f32 q[4] = {2.0f, 4.0f, 0.5f, 0.0f};
+    std::array<Vec4, 4> raw;
+    for (u32 l = 0; l < 4; ++l) {
+        const f32 scale = q[l] != 0.0f ? q[l] : 1.0f;
+        raw[l] = {divided[l].x * scale, divided[l].y * scale, 0, q[l]};
+    }
+
+    std::array<SamplePlan, 4> projectedPlans, dividedPlans;
+    const u32 projectedOps = TextureEmulator::planQuad(
+        desc, raw, 0.0f, true, projectedPlans);
+    const u32 dividedOps = TextureEmulator::planQuad(
+        desc, divided, 0.0f, false, dividedPlans);
+    EXPECT_EQ(projectedOps, dividedOps);
+    for (u32 l = 0; l < 4; ++l) {
+        const Vec4 projected = TextureEmulator::executePlan(
+            desc, projectedPlans[l], mem);
+        EXPECT_EQ(projected, TextureEmulator::executePlan(
+                                 desc, dividedPlans[l], mem))
+            << "lane " << l;
+        if (l > 0) {
+            EXPECT_NE(projected, TextureEmulator::executePlan(
+                                     desc, dividedPlans[0], mem))
+                << "lane " << l;
+        }
+    }
 }
 
 TEST(TextureDxt, Dxt1SolidBlock)
