@@ -38,7 +38,10 @@ run()
     params.frames = 1;
     params.textureSize = 64;
     params.detail = 6;
-    gl::Context ctx(params.width, params.height, config.memorySize);
+    // Size the context from the config the Gpu resolved, which
+    // includes any ATTILA_CONFIG_SET override.
+    const gpu::GpuConfig& resolved = gpu.config();
+    gl::Context ctx(params.width, params.height, resolved.memorySize);
 
     workloads::CubesWorkload scene(params);
     scene.setup(ctx);
@@ -56,9 +59,9 @@ run()
 
     std::cout << "Rendered " << params.width << "x" << params.height
               << " frame in " << gpu.cycle() << " cycles ("
-              << static_cast<f64>(config.clockMHz) * 1e6 /
+              << static_cast<f64>(resolved.clockMHz) * 1e6 /
                      static_cast<f64>(gpu.cycle())
-              << " fps at " << config.clockMHz << " MHz)\n";
+              << " fps at " << resolved.clockMHz << " MHz)\n";
 
     auto total = [&](const std::string& name) -> u64 {
         const sim::Statistic* stat = gpu.stats().find(name);

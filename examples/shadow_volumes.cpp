@@ -68,7 +68,7 @@ run(int argc, char** argv)
     };
     std::cout << "stencil-tested fragments: ";
     u64 tested = 0;
-    for (u32 r = 0; r < config.numRops; ++r) {
+    for (u32 r = 0; r < gpu.config().numRops; ++r) {
         tested += total("ZStencilTest" + std::to_string(r) +
                         ".fragmentsTested");
     }

@@ -35,7 +35,8 @@ run()
     params.frames = 1;
     params.textureSize = 32;
     params.detail = 4;
-    gl::Context ctx(params.width, params.height, config.memorySize);
+    gl::Context ctx(params.width, params.height,
+                    gpu.config().memorySize);
     workloads::CubesWorkload scene(params);
     scene.setup(ctx);
     scene.renderFrame(ctx, 0);

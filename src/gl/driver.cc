@@ -31,7 +31,7 @@ GpuMemoryAllocator::allocate(u32 bytes)
         return addr;
     }
     fatal("GPU memory allocator: out of memory allocating ", bytes,
-          " bytes (", _allocated, " allocated)");
+          " bytes (", _allocated, " allocated); raise global.memorySize");
 }
 
 void

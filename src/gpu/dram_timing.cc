@@ -14,8 +14,7 @@ namespace
 [[noreturn]] void
 badSpec(const std::string& spec, const std::string& msg)
 {
-    throw sim::ConfigError("config: dram timing '" + spec + "': " +
-                           msg);
+    throw sim::ConfigError("dram timing '" + spec + "': " + msg);
 }
 
 } // anonymous namespace
@@ -46,8 +45,8 @@ DramTiming::parse(const std::string& spec)
                 ok = false;
             }
         }
-        if (!ok || pos != value.size() || cycles > ~u32{0}) {
-            badSpec(spec, "bad value in '" + token + "'");
+        if (!ok || pos != value.size() || cycles > 1024) {
+            badSpec(spec, "bad value in '" + token + "' (0..1024)");
         }
         const u32 v = static_cast<u32>(cycles);
         if (name == "nbk")
@@ -75,8 +74,8 @@ DramTiming::parse(const std::string& spec)
         else
             badSpec(spec, "unknown parameter '" + name + "'");
     }
-    if (t.nbk == 0 || !std::has_single_bit(t.nbk)) {
-        badSpec(spec, "nbk must be a nonzero power of two, got " +
+    if (!std::has_single_bit(t.nbk) || t.nbk > 64) {
+        badSpec(spec, "nbk must be a power of two up to 64, got " +
                           std::to_string(t.nbk));
     }
     return t;

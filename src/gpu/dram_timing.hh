@@ -51,8 +51,9 @@ struct DramTiming
     /**
      * Parse a "nbk=8:RCD=12:..." option string.  Unlisted fields
      * keep their defaults; unknown or malformed tokens throw
-     * sim::ConfigError naming the offending token.  nbk must be a
-     * power of two (the bank index is taken from address bits).
+     * sim::ConfigError naming the offending token.  Each value is at
+     * most 1024 cycles, and nbk is a power of two up to 64 (the bank
+     * index is taken from address bits).
      */
     static DramTiming parse(const std::string& spec);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "gpu/framebuffer.hh"
+#include "sim/config_file.hh"
 
 namespace attila::gpu
 {
@@ -86,7 +87,7 @@ checkPoolCanHold(const char* what, const char* key, u32 needed,
                  u32 size, const char* unit)
 {
     if (needed > size) {
-        throw SimError(detail::concat(
+        throw sim::ConfigError(detail::concat(
             "config: FragmentFIFO: ", what, " needs ", needed, " ",
             unit, " but ", key, " is ", size,
             ", so the shader pool can never admit it"));
@@ -281,7 +282,7 @@ FragmentFifo::issue(Cycle cycle)
             vertexClass
                 ? _config.vertexShaderThreads
                 : std::max(1u, _config.shaderInputsInFlight / 4 /
-                                   std::max(1u, _numUnits));
+                                   _numUnits);
 
         // Pick the least-loaded unit with a free slot and credit.
         s32 best = -1;

@@ -15,23 +15,25 @@ namespace
  * GpuConfig::applyEnvOverrides().  A config that already
  * went through a harness's explicit layering (envApplied) passes
  * through untouched, so `--set` overrides stay on top of the
- * environment.
+ * environment.  The result is checked against every key's domain
+ * before anything is built from it.
  */
 GpuConfig
-applyEnvOverrides(GpuConfig config)
+resolveConfig(GpuConfig config)
 {
     if (!config.envApplied)
         config.applyEnvOverrides();
+    config.validate();
     return config;
 }
 
 } // anonymous namespace
 
 Gpu::Gpu(const GpuConfig& config)
-    : _config(applyEnvOverrides(config)),
+    : _config(resolveConfig(config)),
       _memory(std::make_unique<emu::GpuMemory>(_config.memorySize))
 {
-    _sim.stats().setWindow(config.statsWindow);
+    _sim.stats().setWindow(_config.statsWindow);
 
     sim::SignalBinder& binder = _sim.binder();
     sim::StatisticManager& stats = _sim.stats();
@@ -95,10 +97,6 @@ Gpu::Gpu(const GpuConfig& config)
 
     binder.checkConnectivity();
 
-    // One clock drives the whole pipeline; clock.gpuMHz only turns
-    // cycles into reported frames per second.
-    if (_config.clockMHz == 0)
-        fatal("config: clock.gpuMHz must be >= 1");
     _sim.addBox(_commandProcessor.get());
     _sim.addBox(_streamer.get());
     _sim.addBox(_assembly.get());
@@ -151,7 +149,7 @@ Gpu::runUntilIdle(u64 max_cycles)
     // every drainPollInterval cycles once the command stream is
     // exhausted; the per-cycle cost is a single empty() call on the
     // command processor.
-    const u64 poll = std::max(1u, _config.drainPollInterval);
+    const u64 poll = _config.drainPollInterval;
     for (u64 i = 0; i < max_cycles; ++i) {
         _sim.step();
         if (!_commandProcessor->empty())

@@ -1,28 +1,27 @@
 /**
  * @file
  * GpuConfig text-configuration plumbing: the field table binding
- * every parameter to its "section.key" name, the layered
- * file/env/--set application, the canonical dump and the
- * gpgpu-sim-style composite string parsers (cache geometry, DRAM
- * timing validation).
+ * every parameter to its "section.key" name and its domain, the
+ * layered file/env/--set application, the domain checker and the
+ * canonical dump.
  *
- * One visitor template walks the field table in both directions, so
+ * One visitor template walks the field table in every direction, so
  * a parameter added to visitConfigFields() is automatically loaded,
- * dumped, hashed, diffed and covered by the round-trip test.
+ * checked, dumped, hashed, diffed and covered by the round-trip and
+ * domain tests.
  */
 
 #include "gpu/gpu_config.hh"
 
-#include <bit>
-#include <cctype>
 #include <cstdlib>
 #include <fstream>
-#include <sstream>
-#include <utility>
+#include <type_traits>
 
 #include <unistd.h>
 
 #include "gpu/dram_timing.hh"
+#include "gpu/framebuffer.hh"
+#include "gpu/work_objects.hh"
 #include "sim/config_file.hh"
 
 namespace attila::gpu
@@ -31,151 +30,235 @@ namespace attila::gpu
 namespace
 {
 
+/** A cache's KB must split into whole sets of whole lines. */
+std::string
+cacheSplits(u32 kb, u32 ways, u32 line)
+{
+    // A zero way count or line size is reported by its own key.
+    const u64 setBytes = u64{ways} * line;
+    if (setBytes == 0 || u64{kb} * 1024 % setBytes == 0)
+        return {};
+    return std::to_string(kb) + " KB does not split into " +
+           std::to_string(ways) + "-way sets of " +
+           std::to_string(line) + "-byte lines";
+}
+
+std::string
+textureCacheSplits(const GpuConfig& c)
+{
+    return cacheSplits(c.textureCacheKB, c.textureCacheWays,
+                       c.textureCacheLine);
+}
+
+std::string
+zCacheSplits(const GpuConfig& c)
+{
+    return cacheSplits(c.zCacheKB, c.zCacheWays, c.zCacheLine);
+}
+
+std::string
+colorCacheSplits(const GpuConfig& c)
+{
+    return cacheSplits(c.colorCacheKB, c.colorCacheWays,
+                       c.colorCacheLine);
+}
+
+/** The banked-model timing string parses (it is the stored form). */
+std::string
+dramTimingParses(const GpuConfig& c)
+{
+    try {
+        (void)DramTiming::parse(c.dramTiming);
+    } catch (const sim::ConfigError& e) {
+        return e.what();
+    }
+    return {};
+}
+
+/** Queue and window sizes, in entries. */
+constexpr ConfigDomain queue{.min = 1, .max = 4096};
+/** Signal latencies and fixed pipeline delays, in cycles. */
+constexpr ConfigDomain latency{.min = 1, .max = 1024};
+/** Per-cycle rates (also signal bandwidths). */
+constexpr ConfigDomain rate{.min = 1, .max = 64};
+/** Replicated units: each one is a box with its own links. */
+constexpr ConfigDomain units{.min = 1, .max = 32};
+/** Byte widths and strides of the memory system. */
+constexpr ConfigDomain bytes{.min = 1, .max = 1u << 20};
+/** Miss slots: the fill table's free mask is 32 bits. */
+constexpr ConfigDomain mshr{.min = 1, .max = 32};
+/** A Z or colour cache line holds exactly one framebuffer tile (the
+ * backings, HZ blocks and quad addressing assume it). */
+constexpr ConfigDomain tileLine{
+    .min = 1, .max = fbTileBytes, .multipleOf = fbTileBytes};
+
 /**
- * The field table.  Visitor contract: one field() overload per value
- * category (bool, u32, u64, string, enum).  Key order here defines
- * nothing — the ConfigFile dump sorts canonically — but grouping
- * mirrors the struct for review.
+ * The field table: every key, its field and the values it accepts.
+ * Visitor contract: field(key, ref, domain) for each value category
+ * (bool, u32, u64, string, enum); bool and enum keys take no domain
+ * beyond their spellings.  Key order here defines nothing — the
+ * ConfigFile dump sorts canonically — but grouping mirrors the
+ * struct for review.
  */
 template <typename V>
 void
 visitConfigFields(GpuConfig& c, V&& v)
 {
     v.field("global.unifiedShaders", c.unifiedShaders);
-    v.field("global.memorySize", c.memorySize);
+    v.field("global.memorySize", c.memorySize,
+            {.min = 4u << 20, .max = 256u << 20});
 
-    v.field("clock.gpuMHz", c.clockMHz);
+    v.field("clock.gpuMHz", c.clockMHz, {.min = 1, .max = 100000});
 
-    v.field("shader.units", c.numShaders);
-    v.field("shader.vertexUnits", c.numVertexShaders);
+    v.field("shader.units", c.numShaders, units);
+    v.field("shader.vertexUnits", c.numVertexShaders, units);
     v.field("shader.scheduling", c.scheduling);
-    v.field("shader.inputsInFlight", c.shaderInputsInFlight);
-    v.field("shader.vertexThreads", c.vertexShaderThreads);
-    v.field("shader.registers", c.shaderRegisters);
-    v.field("shader.vertexRegisters", c.vertexShaderRegisters);
-    v.field("shader.fetchRate", c.shaderFetchRate);
+    // Whether a pool holds one thread depends on the program, so the
+    // Fragment FIFO rejects a smaller one at run time, naming the key.
+    v.field("shader.inputsInFlight", c.shaderInputsInFlight,
+            {.min = 1, .max = 4096});
+    v.field("shader.vertexThreads", c.vertexShaderThreads,
+            {.min = 1, .max = 1024});
+    v.field("shader.registers", c.shaderRegisters,
+            {.min = 1, .max = 16384});
+    v.field("shader.vertexRegisters", c.vertexShaderRegisters,
+            {.max = 16384});
+    v.field("shader.fetchRate", c.shaderFetchRate, {.min = 1, .max = 16});
 
-    v.field("texture.units", c.numTextureUnits);
-    v.field("texture.cacheKB", c.textureCacheKB);
-    v.field("texture.cacheWays", c.textureCacheWays);
-    v.field("texture.cacheLine", c.textureCacheLine);
-    v.field("texture.cachePorts", c.textureCachePorts);
-    v.field("texture.cacheMshr", c.textureCacheMshr);
-    v.field("texture.requestQueue", c.textureRequestQueue);
+    v.field("texture.units", c.numTextureUnits, units);
+    v.field("texture.cacheKB", c.textureCacheKB,
+            {.min = 1, .max = 1024, .relation = textureCacheSplits});
+    v.field("texture.cacheWays", c.textureCacheWays,
+            {.min = 1, .max = 64, .relation = textureCacheSplits});
+    v.field("texture.cacheLine", c.textureCacheLine,
+            {.min = 1,
+             .max = memMaxTransactionBytes,
+             .relation = textureCacheSplits});
+    v.field("texture.cachePorts", c.textureCachePorts, rate);
+    v.field("texture.cacheMshr", c.textureCacheMshr, mshr);
+    v.field("texture.requestQueue", c.textureRequestQueue, queue);
 
-    v.field("rop.units", c.numRops);
-    v.field("rop.latency", c.ropLatency);
-    v.field("rop.zCacheKB", c.zCacheKB);
-    v.field("rop.zCacheWays", c.zCacheWays);
-    v.field("rop.zCacheLine", c.zCacheLine);
-    v.field("rop.zCacheMshr", c.zCacheMshr);
-    v.field("rop.colorCacheKB", c.colorCacheKB);
-    v.field("rop.colorCacheWays", c.colorCacheWays);
-    v.field("rop.colorCacheLine", c.colorCacheLine);
-    v.field("rop.colorCacheMshr", c.colorCacheMshr);
+    v.field("rop.units", c.numRops, units);
+    v.field("rop.latency", c.ropLatency, latency);
+    v.field("rop.zCacheKB", c.zCacheKB,
+            {.min = 1, .max = 1024, .relation = zCacheSplits});
+    v.field("rop.zCacheWays", c.zCacheWays,
+            {.min = 1, .max = 64, .relation = zCacheSplits});
+    v.field("rop.zCacheLine", c.zCacheLine, tileLine);
+    v.field("rop.zCacheMshr", c.zCacheMshr, mshr);
+    v.field("rop.colorCacheKB", c.colorCacheKB,
+            {.min = 1, .max = 1024, .relation = colorCacheSplits});
+    v.field("rop.colorCacheWays", c.colorCacheWays,
+            {.min = 1, .max = 64, .relation = colorCacheSplits});
+    v.field("rop.colorCacheLine", c.colorCacheLine, tileLine);
+    v.field("rop.colorCacheMshr", c.colorCacheMshr, mshr);
     v.field("rop.zCompression", c.zCompression);
     v.field("rop.fastClear", c.fastClear);
-    v.field("rop.clearCycles", c.clearCycles);
+    v.field("rop.clearCycles", c.clearCycles, {.max = 1u << 16});
     v.field("rop.doubleRateZ", c.doubleRateZ);
     v.field("rop.colorCompression", c.colorCompression);
 
-    v.field("geometry.streamerQueue", c.streamerQueue);
-    v.field("geometry.vertexCacheEntries", c.vertexCacheEntries);
-    v.field("geometry.vertexRequestQueue", c.vertexRequestQueue);
+    v.field("geometry.streamerQueue", c.streamerQueue, queue);
+    v.field("geometry.vertexCacheEntries", c.vertexCacheEntries,
+            {.max = 4096});
+    v.field("geometry.vertexRequestQueue", c.vertexRequestQueue, queue);
     v.field("geometry.primitiveAssemblyQueue",
-            c.primitiveAssemblyQueue);
-    v.field("geometry.clipperQueue", c.clipperQueue);
-    v.field("geometry.clipperLatency", c.clipperLatency);
-    v.field("geometry.trianglesPerCycle", c.trianglesPerCycle);
-    v.field("geometry.setupQueue", c.setupQueue);
-    v.field("geometry.setupLatency", c.setupLatency);
-    v.field("geometry.fragmentGenQueue", c.fragmentGenQueue);
+            c.primitiveAssemblyQueue, queue);
+    v.field("geometry.clipperQueue", c.clipperQueue, queue);
+    v.field("geometry.clipperLatency", c.clipperLatency, latency);
+    v.field("geometry.trianglesPerCycle", c.trianglesPerCycle, rate);
+    v.field("geometry.setupQueue", c.setupQueue, queue);
+    v.field("geometry.setupLatency", c.setupLatency, latency);
+    v.field("geometry.fragmentGenQueue", c.fragmentGenQueue, queue);
     v.field("geometry.fragmentGen", c.fragmentGen);
-    v.field("geometry.tilesPerCycle", c.tilesPerCycle);
-    v.field("geometry.genTileSize", c.genTileSize);
+    v.field("geometry.tilesPerCycle", c.tilesPerCycle, rate);
+    // Even, so no 2x2 quad straddles two framebuffer tiles, and no
+    // wider than one: HZ splits each generated tile as one 8x8 block.
+    v.field("geometry.genTileSize", c.genTileSize,
+            {.min = 1, .max = fbTileDim, .multipleOf = 2});
 
     v.field("hz.enabled", c.hzEnabled);
-    v.field("hz.queue", c.hzQueue);
-    v.field("hz.tilesPerCycle", c.hzTilesPerCycle);
+    v.field("hz.queue", c.hzQueue, queue);
+    v.field("hz.tilesPerCycle", c.hzTilesPerCycle, rate);
 
-    v.field("interpolator.baseLatency", c.interpolatorBaseLatency);
-    v.field("interpolator.maxLatency", c.interpolatorMaxLatency);
-    v.field("interpolator.quadsPerCycle",
-            c.interpolatorQuadsPerCycle);
+    v.field("interpolator.baseLatency", c.interpolatorBaseLatency,
+            {.max = 1024});
+    v.field("interpolator.maxLatency", c.interpolatorMaxLatency,
+            {.max = 1024});
+    v.field("interpolator.quadsPerCycle", c.interpolatorQuadsPerCycle,
+            rate);
 
-    v.field("ffifo.queue", c.fragmentFifoQueue);
+    v.field("ffifo.queue", c.fragmentFifoQueue, queue);
 
-    v.field("memory.channels", c.memoryChannels);
-    v.field("memory.bytesPerCycle", c.channelBytesPerCycle);
-    v.field("memory.burstBytes", c.memoryBurstBytes);
-    v.field("memory.interleave", c.channelInterleave);
-    v.field("memory.pageBytes", c.memoryPageBytes);
-    v.field("memory.pageOpenPenalty", c.pageOpenPenalty);
-    v.field("memory.readWriteTurnaround", c.readWriteTurnaround);
-    v.field("memory.requestQueue", c.memoryRequestQueue);
-    v.field("memory.systemBusBytesPerCycle",
-            c.systemBusBytesPerCycle);
+    v.field("memory.channels", c.memoryChannels, units);
+    v.field("memory.bytesPerCycle", c.channelBytesPerCycle, bytes);
+    v.field("memory.burstBytes", c.memoryBurstBytes,
+            {.min = 1, .max = memMaxTransactionBytes});
+    v.field("memory.interleave", c.channelInterleave, bytes);
+    v.field("memory.pageBytes", c.memoryPageBytes, bytes);
+    v.field("memory.pageOpenPenalty", c.pageOpenPenalty, {.max = 1024});
+    v.field("memory.readWriteTurnaround", c.readWriteTurnaround,
+            {.max = 1024});
+    // The Streamer issues a vertex's fetches (one per enabled
+    // stream, up to 8) in one cycle, so fewer credits deadlock it.
+    v.field("memory.requestQueue", c.memoryRequestQueue,
+            {.min = 8, .max = 4096});
+    v.field("memory.systemBusBytesPerCycle", c.systemBusBytesPerCycle,
+            bytes);
     v.field("memory.memModel", c.memModel);
     v.field("memory.dramScheduler", c.dramScheduler);
-    v.field("memory.dramTiming", c.dramTiming);
-    v.field("memory.frfcfsCap", c.frfcfsCap);
-    v.field("memory.frfcfsWindow", c.frfcfsWindow);
+    v.field("memory.dramTiming", c.dramTiming,
+            {.relation = dramTimingParses});
+    v.field("memory.frfcfsCap", c.frfcfsCap, {.max = 1u << 16});
+    v.field("memory.frfcfsWindow", c.frfcfsWindow, queue);
 
     v.field("engine.scheduler", c.scheduler);
-    v.field("engine.threads", c.schedulerThreads);
+    v.field("engine.threads", c.schedulerThreads, {.max = 64});
     v.field("engine.workSteal", c.schedWorkSteal);
-    v.field("engine.partitionSlack", c.schedPartitionSlack);
+    v.field("engine.partitionSlack", c.schedPartitionSlack,
+            {.min = 100, .max = 1000});
     v.field("engine.idleSkip", c.idleSkip);
-    v.field("engine.drainPollInterval", c.drainPollInterval);
+    v.field("engine.drainPollInterval", c.drainPollInterval,
+            {.min = 1, .max = 1u << 16});
 
-    v.field("stats.window", c.statsWindow);
+    v.field("stats.window", c.statsWindow, {.min = 1, .max = 1ull << 32});
     v.field("stats.eventTrace", c.eventTrace);
 }
+
+/** u32 and u64 fields: the ones a domain's range applies to. */
+template <typename T>
+constexpr bool isInteger = std::is_same_v<T, u32> || std::is_same_v<T, u64>;
 
 /** Loader: overlays a ConfigFile's assignments onto the fields. */
 struct Loader
 {
     const sim::ConfigFile& cfg;
 
+    template <typename T>
     void
-    field(const char* key, bool& ref)
+    field(const char* key, T& ref, const ConfigDomain& = {})
     {
-        ref = cfg.getBool(key, ref);
-    }
-
-    void
-    field(const char* key, u32& ref)
-    {
-        ref = cfg.getU32(key, ref);
-    }
-
-    void
-    field(const char* key, u64& ref)
-    {
-        ref = cfg.getU64(key, ref);
-    }
-
-    void
-    field(const char* key, std::string& ref)
-    {
-        ref = cfg.getString(key, ref);
-    }
-
-    template <typename E>
-    void
-    field(const char* key, E& ref)
-    {
-        const sim::ConfigFile::Entry* e = cfg.find(key);
-        if (!e)
-            return;
-        if (const auto v = enumFromName<E>(e->value)) {
+        if constexpr (std::is_same_v<T, bool>) {
+            ref = cfg.getBool(key, ref);
+        } else if constexpr (std::is_same_v<T, u32>) {
+            ref = cfg.getU32(key, ref);
+        } else if constexpr (std::is_same_v<T, u64>) {
+            ref = cfg.getU64(key, ref);
+        } else if constexpr (std::is_same_v<T, std::string>) {
+            ref = cfg.getString(key, ref);
+        } else {
+            const sim::ConfigFile::Entry* e = cfg.find(key);
+            if (!e)
+                return;
+            const auto v = enumFromName<T>(e->value);
+            if (!v) {
+                throw sim::ConfigError(
+                    "config: " + e->origin + ": key '" + key +
+                    "': expected " + enumChoices<T>() + ", got '" +
+                    e->value + "'");
+            }
             ref = *v;
-            return;
         }
-        throw sim::ConfigError("config: " + e->origin + ": key '" +
-                               key + "': expected " +
-                               enumChoices<E>() + ", got '" +
-                               e->value + "'");
     }
 };
 
@@ -184,231 +267,87 @@ struct Dumper
 {
     sim::ConfigFile& cfg;
 
+    template <typename T>
     void
-    field(const char* key, bool& ref)
+    field(const char* key, T& ref, const ConfigDomain& = {})
     {
-        cfg.set(key, ref ? "true" : "false", "default");
-    }
-
-    void
-    field(const char* key, u32& ref)
-    {
-        cfg.set(key, std::to_string(ref), "default");
-    }
-
-    void
-    field(const char* key, u64& ref)
-    {
-        cfg.set(key, std::to_string(ref), "default");
-    }
-
-    void
-    field(const char* key, std::string& ref)
-    {
-        cfg.set(key, ref, "default");
-    }
-
-    template <typename E>
-    void
-    field(const char* key, E& ref)
-    {
-        cfg.set(key, enumName(ref), "default");
+        if constexpr (std::is_same_v<T, bool>)
+            cfg.set(key, ref ? "true" : "false", "default");
+        else if constexpr (isInteger<T>)
+            cfg.set(key, std::to_string(ref), "default");
+        else if constexpr (std::is_same_v<T, std::string>)
+            cfg.set(key, ref, "default");
+        else
+            cfg.set(key, enumName(ref), "default");
     }
 };
 
-/**
- * Expand the input-only composite keys: the gpgpu-sim cache
- * geometry strings set the discrete KB/ways/line/MSHR fields, and
- * the DRAM timing string is validated eagerly so a bad sweep file
- * fails at load, not mid-run.
- */
-void
-applyCompositeKeys(GpuConfig& c, const sim::ConfigFile& cfg)
+/** Why @p value lies outside @p d's range, or "" when it does not. */
+std::string
+rangeError(u64 value, const ConfigDomain& d)
 {
-    struct GeomKey
-    {
-        const char* key;
-        u32* kb;
-        u32* ways;
-        u32* line;
-        u32* mshr;
-    };
-    const GeomKey geoms[] = {
-        {"texture.cacheGeometry", &c.textureCacheKB,
-         &c.textureCacheWays, &c.textureCacheLine,
-         &c.textureCacheMshr},
-        {"rop.zCacheGeometry", &c.zCacheKB, &c.zCacheWays,
-         &c.zCacheLine, &c.zCacheMshr},
-        {"rop.colorCacheGeometry", &c.colorCacheKB, &c.colorCacheWays,
-         &c.colorCacheLine, &c.colorCacheMshr},
-    };
-    for (const GeomKey& g : geoms) {
-        const sim::ConfigFile::Entry* e = cfg.find(g.key);
-        if (!e)
-            continue;
-        const CacheGeometry geom = CacheGeometry::parse(e->value);
-        *g.kb = geom.sizeKB();
-        *g.ways = geom.ways;
-        *g.line = geom.lineBytes;
-        *g.mshr = geom.mshr;
-    }
-    // Validation only; the string itself is the stored form.
-    (void)DramTiming::parse(c.dramTiming);
+    if (value < d.min)
+        return "must be at least " + std::to_string(d.min);
+    if (value > d.max)
+        return "must be at most " + std::to_string(d.max);
+    if (value % d.multipleOf != 0)
+        return "must be a multiple of " + std::to_string(d.multipleOf);
+    return {};
 }
 
 /**
- * Reject 0, naming the key and where it was set, for every key the
- * model cannot run with at 0: a zero unit count, line, tile, page or
- * channel width divides by zero; a zero fetch rate, port count or
- * queue/window size stalls the pipeline forever; and a zero signal
- * bandwidth, latency or queue size (the credit wire's bandwidth)
- * would otherwise be rejected by the signal layer under a wire's
- * name.
+ * Checker: throws ConfigError for the first key outside its domain.
+ * With a ConfigFile it checks the keys that layer set and names the
+ * place each was set; without one it checks every key, "set in
+ * code".
  */
-void
-checkNonZeroKeys(const GpuConfig& c, const sim::ConfigFile& cfg)
+struct Checker
 {
-    const std::pair<const char*, u32> keys[] = {
-        // Unit counts, rates and sizes.
-        {"shader.units", c.numShaders},
-        {"shader.vertexUnits", c.numVertexShaders},
-        {"shader.vertexThreads", c.vertexShaderThreads},
-        {"shader.fetchRate", c.shaderFetchRate},
-        {"texture.units", c.numTextureUnits},
-        {"texture.cacheLine", c.textureCacheLine},
-        {"texture.cachePorts", c.textureCachePorts},
-        {"rop.units", c.numRops},
-        {"rop.zCacheLine", c.zCacheLine},
-        {"rop.colorCacheLine", c.colorCacheLine},
-        {"geometry.genTileSize", c.genTileSize},
-        {"hz.tilesPerCycle", c.hzTilesPerCycle},
-        {"memory.channels", c.memoryChannels},
-        {"memory.bytesPerCycle", c.channelBytesPerCycle},
-        {"memory.burstBytes", c.memoryBurstBytes},
-        {"memory.interleave", c.channelInterleave},
-        {"memory.pageBytes", c.memoryPageBytes},
-        {"memory.systemBusBytesPerCycle", c.systemBusBytesPerCycle},
-        // Queues and windows held inside a box.
-        {"geometry.streamerQueue", c.streamerQueue},
-        {"geometry.vertexRequestQueue", c.vertexRequestQueue},
-        {"shader.inputsInFlight", c.shaderInputsInFlight},
-        {"shader.registers", c.shaderRegisters},
-        {"texture.requestQueue", c.textureRequestQueue},
-        // Signal bandwidths, latencies and queue sizes.
-        {"geometry.primitiveAssemblyQueue", c.primitiveAssemblyQueue},
-        {"geometry.trianglesPerCycle", c.trianglesPerCycle},
-        {"geometry.clipperQueue", c.clipperQueue},
-        {"geometry.clipperLatency", c.clipperLatency},
-        {"geometry.setupQueue", c.setupQueue},
-        {"geometry.setupLatency", c.setupLatency},
-        {"geometry.fragmentGenQueue", c.fragmentGenQueue},
-        {"geometry.tilesPerCycle", c.tilesPerCycle},
-        {"hz.queue", c.hzQueue},
-        {"interpolator.quadsPerCycle", c.interpolatorQuadsPerCycle},
-        {"ffifo.queue", c.fragmentFifoQueue},
-        {"rop.latency", c.ropLatency},
-        {"memory.requestQueue", c.memoryRequestQueue},
-    };
-    for (const auto& [key, value] : keys) {
-        const sim::ConfigFile::Entry* e = cfg.find(key);
-        if (e && value == 0) {
-            throw sim::ConfigError("config: " + e->origin + ": key '" +
-                                   key + "': must be at least 1");
+    const GpuConfig& c;
+    const sim::ConfigFile* cfg;
+
+    template <typename T>
+    void
+    field(const char* key, T& ref, const ConfigDomain& d = {})
+    {
+        const sim::ConfigFile::Entry* e = cfg ? cfg->find(key) : nullptr;
+        if (cfg && !e)
+            return;
+        std::string why;
+        if constexpr (isInteger<T>)
+            why = rangeError(ref, d);
+        if (why.empty() && d.relation)
+            why = d.relation(c);
+        if (!why.empty()) {
+            throw sim::ConfigError(
+                "config: " + (e ? e->origin : "set in code") +
+                ": key '" + key + "': " + why);
         }
     }
-}
+};
+
+/** Schema: lists every key with its domain. */
+struct Schema
+{
+    std::vector<ConfigKey>& keys;
+
+    template <typename T>
+    void
+    field(const char* key, T&, const ConfigDomain& d = {})
+    {
+        keys.push_back({key, isInteger<T>, d});
+    }
+};
 
 void
 applyConfig(GpuConfig& c, const sim::ConfigFile& cfg)
 {
     visitConfigFields(c, Loader{cfg});
-    checkNonZeroKeys(c, cfg);
-    applyCompositeKeys(c, cfg);
+    visitConfigFields(c, Checker{c, &cfg});
     cfg.failOnUnconsumed("GpuConfig");
 }
 
 } // anonymous namespace
-
-CacheGeometry
-CacheGeometry::parse(const std::string& spec)
-{
-    const auto bad = [&spec](const std::string& msg) -> void {
-        throw sim::ConfigError("config: cache geometry '" + spec +
-                               "': " + msg);
-    };
-    CacheGeometry g;
-    const std::size_t comma = spec.find(',');
-    const std::string geom = spec.substr(0, comma);
-
-    u32 parts[3] = {0, 0, 0};
-    std::istringstream in(geom);
-    std::string token;
-    int n = 0;
-    while (std::getline(in, token, ':')) {
-        if (n >= 3)
-            bad("expected <sets>:<bsize>:<assoc>");
-        std::size_t pos = 0;
-        u64 v = 0;
-        bool ok = !token.empty();
-        if (ok) {
-            try {
-                v = std::stoull(token, &pos, 10);
-            } catch (const std::exception&) {
-                ok = false;
-            }
-        }
-        if (!ok || pos != token.size() || v == 0 || v > ~u32{0})
-            bad("bad value '" + token + "'");
-        parts[n++] = static_cast<u32>(v);
-    }
-    if (n != 3)
-        bad("expected <sets>:<bsize>:<assoc>");
-    g.sets = parts[0];
-    g.lineBytes = parts[1];
-    g.ways = parts[2];
-    if (!std::has_single_bit(g.sets))
-        bad("sets must be a power of two, got " +
-            std::to_string(g.sets));
-    if (!std::has_single_bit(g.lineBytes))
-        bad("bsize must be a power of two, got " +
-            std::to_string(g.lineBytes));
-
-    if (comma != std::string::npos) {
-        const std::string mshr = spec.substr(comma + 1);
-        const std::size_t colon = mshr.find(':');
-        if (colon == std::string::npos)
-            bad("expected ,<mshr type>:<N> after geometry");
-        const std::string type = mshr.substr(0, colon);
-        const std::string count = mshr.substr(colon + 1);
-        if (type.size() != 1 ||
-            !std::isalpha(static_cast<unsigned char>(type[0])))
-            bad("bad MSHR type '" + type + "'");
-        std::size_t pos = 0;
-        u64 v = 0;
-        bool ok = !count.empty();
-        if (ok) {
-            try {
-                v = std::stoull(count, &pos, 10);
-            } catch (const std::exception&) {
-                ok = false;
-            }
-        }
-        if (!ok || pos != count.size() || v == 0 || v > 32)
-            bad("bad MSHR count '" + count +
-                "' (expected 1..32 — the fill table free mask is "
-                "32 bits)");
-        g.mshr = static_cast<u32>(v);
-    }
-    return g;
-}
-
-std::string
-CacheGeometry::format() const
-{
-    std::ostringstream out;
-    out << sets << ":" << lineBytes << ":" << ways << ",A:" << mshr;
-    return out.str();
-}
 
 GpuConfig
 GpuConfig::fromFile(const std::string& path)
@@ -445,11 +384,13 @@ GpuConfig::applyText(const std::string& text,
 }
 
 void
-GpuConfig::applySet(const std::string& assignment,
+GpuConfig::applySet(const std::string& assignments,
                     const std::string& origin)
 {
     sim::ConfigFile cfg;
-    cfg.setOverride(assignment, origin);
+    for (const std::string& one :
+         sim::ConfigFile::splitAssignments(assignments))
+        cfg.setOverride(one, origin);
     applyConfig(*this, cfg);
 }
 
@@ -475,11 +416,8 @@ GpuConfig::applyEnvOverrides()
         if (*env)
             applyFile(env);
     }
-    if (const char* env = std::getenv("ATTILA_CONFIG_SET")) {
-        for (const std::string& one :
-             sim::ConfigFile::splitAssignments(env))
-            applySet(one, "ATTILA_CONFIG_SET");
-    }
+    if (const char* env = std::getenv("ATTILA_CONFIG_SET"))
+        applySet(env, "ATTILA_CONFIG_SET");
     envApplied = true;
 }
 
@@ -502,6 +440,23 @@ GpuConfig::toFile(const std::string& path) const
                                "'");
     }
     out << toConfigText();
+}
+
+void
+GpuConfig::validate() const
+{
+    // The checker only reads (see toConfigText()).
+    visitConfigFields(const_cast<GpuConfig&>(*this),
+                      Checker{*this, nullptr});
+}
+
+std::vector<ConfigKey>
+GpuConfig::schema()
+{
+    std::vector<ConfigKey> keys;
+    GpuConfig c;
+    visitConfigFields(c, Schema{keys});
+    return keys;
 }
 
 u64

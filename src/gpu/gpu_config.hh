@@ -23,6 +23,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "sim/types.hh"
 
@@ -167,28 +168,28 @@ enumChoices()
     return out;
 }
 
+struct GpuConfig;
+
 /**
- * A gpgpu-sim-style cache geometry: `<sets>:<bsize>:<assoc>,<mshr
- * type>:<N>` (e.g. "16:256:4,A:8").  The MSHR clause is optional;
- * the type letter is accepted for spec compatibility and ignored.
- * Feeds the FbCache SoA geometry, so sets and bsize must be powers
- * of two.
+ * The values a config key accepts, declared next to the key in the
+ * field table (gpu/gpu_config.cc).  Integer keys are checked against
+ * min, max and multipleOf; a relation checks the key against other
+ * keys and returns what is wrong with it, or an empty string.
  */
-struct CacheGeometry
+struct ConfigDomain
 {
-    u32 sets = 16;
-    u32 lineBytes = 256;
-    u32 ways = 4;
-    u32 mshr = 4;
+    u64 min = 0;
+    u64 max = ~u64{0};
+    u64 multipleOf = 1;
+    std::string (*relation)(const GpuConfig&) = nullptr;
+};
 
-    u32 sizeKB() const { return sets * lineBytes * ways / 1024; }
-
-    bool operator==(const CacheGeometry&) const = default;
-
-    /** Throws sim::ConfigError on malformed or non-pow2 input. */
-    static CacheGeometry parse(const std::string& spec);
-
-    std::string format() const;
+/** One key of the field table with its declared domain. */
+struct ConfigKey
+{
+    std::string name;     ///< "section.key".
+    bool integer = false; ///< Bool, enum and string keys parse names.
+    ConfigDomain domain;
 };
 
 /** The full configuration of a simulated ATTILA GPU. */
@@ -410,8 +411,13 @@ struct GpuConfig
     void applyText(const std::string& text,
                    const std::string& name = "<config>");
 
-    /** Apply one "section.key=value" override (the --set layer). */
-    void applySet(const std::string& assignment,
+    /**
+     * Apply "section.key=value" overrides (the --set layer).  A list
+     * in the ATTILA_CONFIG_SET form is one layer, like a file: keys
+     * related by a domain (a cache's KB, ways and line) are checked
+     * on their final values, so they may be set in any order.
+     */
+    void applySet(const std::string& assignments,
                   const std::string& origin = "--set");
 
     /**
@@ -436,6 +442,14 @@ struct GpuConfig
     /** FNV-1a hash of toConfigText(): the scenario identity carried
      * in BENCH_JSON lines and sweep result stores. */
     u64 configHash() const;
+
+    /** Throw ConfigError naming the first key outside its declared
+     * domain, as "set in code" (loading checks each key it sets
+     * against the same domains, naming where it was set). */
+    void validate() const;
+
+    /** Every key of the field table, in table order. */
+    static std::vector<ConfigKey> schema();
 };
 
 } // namespace attila::gpu

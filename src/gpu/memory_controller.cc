@@ -73,7 +73,7 @@ MemoryController::acceptRequests(Cycle cycle)
         client.req.clock(cycle);
         while (!client.req.empty()) {
             MemTransactionPtr txn = client.req.pop(cycle);
-            if (txn->size == 0 || txn->size > 256) {
+            if (txn->size == 0 || txn->size > memMaxTransactionBytes) {
                 panic("memory controller: transaction size ",
                       txn->size, " out of range");
             }
@@ -123,9 +123,8 @@ MemoryController::pickPending(Channel& ch)
     // degenerates to FIFO.
     if (ch.pending.front().bypassed >= _config.frfcfsCap)
         return 0;
-    const u32 window = static_cast<u32>(
-        std::min<std::size_t>(ch.pending.size(),
-                              std::max(1u, _config.frfcfsWindow)));
+    const u32 window = static_cast<u32>(std::min<std::size_t>(
+        ch.pending.size(), _config.frfcfsWindow));
     for (u32 i = 0; i < window; ++i) {
         const Burst& b = ch.pending.at(i);
         const u32 addr = b.txn->address + b.offset;

@@ -94,9 +94,11 @@ class ShaderUnit : public sim::Box
     struct ThreadSched
     {
         u64 entryId = 0; ///< The work's Fragment FIFO entry.
-        /** Memo of computeReadyAt(): the cycle the next
-         * instruction's source temps are readable.  Stale whenever
-         * the pc, laneDone or scoreboard changed since. */
+        /** Memo of refreshDeps(): the next instruction (null once
+         * every lane is done) and the cycle its source temps are
+         * readable.  Stale whenever the pc, laneDone or scoreboard
+         * changed since. */
+        const emu::DecodedIns* next = nullptr;
         Cycle depsReadyAt = 0;
         bool depsStale = true;
         bool waitingTexture = false;
@@ -110,7 +112,7 @@ class ShaderUnit : public sim::Box
     void execute(Cycle cycle, u32 slot);
     bool sendResult(Cycle cycle, Thread& thread);
     bool dependenciesReady(u32 slot, Cycle cycle);
-    Cycle computeReadyAt(const Thread& thread) const;
+    void refreshDeps(const Thread& thread, ThreadSched& sched) const;
 
     const GpuConfig& _config;
     const u32 _unit;

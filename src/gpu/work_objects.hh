@@ -156,13 +156,16 @@ memClientName(MemClient c)
     return "?";
 }
 
+/** Largest transaction the Memory Controller accepts, in bytes. */
+constexpr u32 memMaxTransactionBytes = 256;
+
 /** A read or write request to the Memory Controller. */
 class MemTransaction : public sim::DynamicObject
 {
   public:
     bool isRead = true;
     u32 address = 0;
-    u32 size = 0;            ///< Bytes, up to 256.
+    u32 size = 0;            ///< Bytes, up to memMaxTransactionBytes.
     std::vector<u8> data;    ///< Write payload / read result.
     MemClient client = MemClient::Streamer;
     u64 tag = 0;             ///< Requester-private identifier.

@@ -76,8 +76,8 @@ class ConfigFile
     /**
      * Split a list of "section.key=value" assignments (the
      * ATTILA_CONFIG_SET form).  ';' always separates; ',' separates
-     * only where another section.key= begins, so values that contain
-     * commas (cache geometries such as "32:128:4,A:8") stay whole.
+     * only where another section.key= begins, so a value that
+     * contains a comma stays whole.
      * Blank items are dropped.
      */
     static std::vector<std::string> splitAssignments(

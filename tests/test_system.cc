@@ -14,6 +14,7 @@
 #include "gl/context.hh"
 #include "gl/trace.hh"
 #include "gpu/gpu.hh"
+#include "sim/config_file.hh"
 #include "sim/event_trace.hh"
 #include "workloads/cubes.hh"
 #include "workloads/shadows.hh"
@@ -195,13 +196,13 @@ TEST(System, CacheGeometryValidation)
 TEST(System, ClockDomainFrequencyValidation)
 {
     // The GPU clock rate must be positive (reports divide by it);
-    // zero fails at construction.
+    // zero fails at construction, naming the key.
     gpu::GpuConfig config;
     config.memorySize = 32u << 20;
     config.clockMHz = 600;
     EXPECT_NO_THROW(gpu::Gpu{config});
     config.clockMHz = 0;
-    EXPECT_THROW(gpu::Gpu{config}, FatalError);
+    EXPECT_THROW(gpu::Gpu{config}, sim::ConfigError);
 }
 
 TEST(System, ContextErrorsAreFatal)
