@@ -331,8 +331,7 @@ exportEventTrace(const std::string& label, RunResult& result)
     }
     const std::string binPath = sim::outPath(stem + ".evtrace");
     const std::string jsonPath = sim::outPath(stem + ".trace.json");
-    const u64 window =
-        std::max<u64>(1, result.gpu->config().statsWindow);
+    const u64 window = result.gpu->config().statsWindow;
     sim::writeEventTraceBinary(data, binPath);
     sim::writeChromeTraceJson(data, window, jsonPath);
     const sim::TraceSeries series = sim::aggregateTrace(data, window);

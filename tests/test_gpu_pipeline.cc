@@ -393,6 +393,56 @@ TEST(GpuPipeline, NonUnifiedPipelineRenders)
     EXPECT_EQ(frame.pixel(5, 5), rgba(255, 255, 0));
 }
 
+TEST(GpuPipeline, NonUnifiedVertexTextureFetchPanicsNamingUnit)
+{
+    // The assembler rejects TEX in a vertex program, but a program
+    // built in code can carry one.  Vertex-only units have no Texture
+    // Unit links, so it is an explicit panic, not an out-of-range
+    // link.
+    GpuConfig config;
+    config.unifiedShaders = false;
+    config.memorySize = 8u << 20;
+
+    emu::ShaderAssembler assembler;
+    const emu::ShaderProgramPtr tex = assembler.assemble(R"(!!ARBfp1.0
+TEX result.color, fragment.texcoord[0], texture[0], 2D;
+END
+)");
+    auto vp = std::make_shared<emu::ShaderProgram>(*assembler.assemble(
+        R"(!!ARBvp1.0
+MOV result.position, vertex.attrib[0];
+MOV result.color, vertex.attrib[3];
+END
+)"));
+    vp->code.insert(vp->code.begin(), tex->code.front());
+
+    CommandList list;
+    emitSurfaceSetup(list);
+    list.push_back(Command::loadVertexProgram(vp));
+    list.push_back(Command::loadFragmentProgram(assembler.assemble(
+        R"(!!ARBfp1.0
+MOV result.color, fragment.color;
+END
+)")));
+    emitVertexData(list, 0x100000, 0x110000,
+                   {{-1, -1, 0, 1}, {3, -1, 0, 1}, {-1, 3, 0, 1}},
+                   {{1, 1, 0, 1}, {1, 1, 0, 1}, {1, 1, 0, 1}});
+    list.push_back(Command::drawBatch(Primitive::Triangles, 3));
+    list.push_back(Command::swap());
+
+    Gpu gpu(config);
+    gpu.submit(list);
+    try {
+        gpu.runUntilIdle(1'000'000);
+        ADD_FAILURE() << "TEX on a vertex-only unit did not panic";
+    } catch (const SimError& e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "texture fetch in a vertex program"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
 TEST(GpuPipeline, HzCullsHiddenTiles)
 {
     // Draw a near quad, then a far quad: the Hierarchical Z buffer
