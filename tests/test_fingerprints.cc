@@ -59,6 +59,13 @@ constexpr Fingerprint kTerrainInOrder{211200, 0x90bd38867d348647ull,
 constexpr Fingerprint kTerrainNonUnified{172352, 0x90bd38867d348647ull,
                                           0x84dffede8cc01b1eull};
 
+// The ROP paths the baseline never takes: slow (written-out) Z and
+// colour clears, uncompressed Z writeback, uniform-tile colour
+// compression and double-rate depth-only Z, all at once on the
+// stencil-heavy scene.
+constexpr Fingerprint kShadowsRopAblations{
+    705536, 0x5ed1ae5e3cb6e2cdull, 0x52f7340ac8b32652ull};
+
 u64
 fnv1a(const void* data, std::size_t size)
 {
@@ -210,6 +217,18 @@ TEST(Fingerprints, TerrainNonUnified)
     config.vertexShaderThreads = 1;
     workloads::TerrainWorkload workload(fig10Params());
     checkScene(workload, kTerrainNonUnified, "terrain non-unified",
+               false, config);
+}
+
+TEST(Fingerprints, ShadowsRopAblations)
+{
+    gpu::GpuConfig config = gpu::GpuConfig::baseline();
+    config.fastClear = false;
+    config.zCompression = false;
+    config.colorCompression = true;
+    config.doubleRateZ = true;
+    workloads::ShadowsWorkload workload(fig10Params());
+    checkScene(workload, kShadowsRopAblations, "shadows ROP ablations",
                false, config);
 }
 
