@@ -54,8 +54,8 @@ struct BenchOptions
 {
     std::optional<std::string> configFile; ///< --config <file>.
     /** section.key=value assignments from --set and its flag
-     * aliases, in command-line order. */
-    std::vector<std::string> sets;
+     * aliases, in command-line order: one override layer. */
+    std::vector<gpu::GpuConfig::SetEntry> sets;
 };
 
 inline BenchOptions&
@@ -86,7 +86,8 @@ inline constexpr FlagAlias kFlagAliases[] = {
  * Consume the shared bench flags from argv, compacting the array in
  * place so downstream parsers (google-benchmark's Initialize) only
  * see their own `--benchmark_*` flags and positional arguments.
- * Every assignment is checked against a scratch config here, so a
+ * The assignments are checked together, as the one layer
+ * applyOptions() applies, against a scratch config here, so a
  * malformed value or an unrecognised `--flag` exits with a
  * diagnostic before any work starts.
  */
@@ -120,17 +121,6 @@ parseArgs(int& argc, char** argv)
             bad(arg);
         return std::string(argv[++i]);
     };
-    gpu::GpuConfig probe;
-    const auto addSet = [&](const std::string& assignment,
-                            const char* origin) {
-        try {
-            probe.applySet(assignment, origin);
-        } catch (const sim::ConfigError& e) {
-            std::cerr << "error: " << e.what() << "\n";
-            std::exit(2);
-        }
-        options().sets.push_back(assignment);
-    };
     int out = 1;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -139,14 +129,15 @@ parseArgs(int& argc, char** argv)
             continue;
         }
         if (const auto v = valueOf("--set", i, arg, nullptr)) {
-            addSet(*v, "--set");
+            options().sets.push_back({*v, "--set"});
             continue;
         }
         bool aliased = false;
         for (const FlagAlias& alias : kFlagAliases) {
             if (const auto v =
                     valueOf(alias.flag, i, arg, alias.bareValue)) {
-                addSet(std::string(alias.key) + "=" + *v, alias.flag);
+                options().sets.push_back(
+                    {std::string(alias.key) + "=" + *v, alias.flag});
                 aliased = true;
                 break;
             }
@@ -160,6 +151,13 @@ parseArgs(int& argc, char** argv)
         argv[out++] = argv[i];
     }
     argc = out;
+    try {
+        gpu::GpuConfig probe;
+        probe.applySets(options().sets);
+    } catch (const sim::ConfigError& e) {
+        std::cerr << "error: " << e.what() << "\n";
+        std::exit(2);
+    }
 }
 
 /**
@@ -177,8 +175,7 @@ applyOptions(gpu::GpuConfig& config)
         if (options().configFile)
             config.applyFile(*options().configFile);
         config.applyEnvOverrides();
-        for (const std::string& assignment : options().sets)
-            config.applySet(assignment);
+        config.applySets(options().sets);
     } catch (const sim::ConfigError& e) {
         std::cerr << "error: " << e.what() << "\n";
         std::exit(2);

@@ -32,8 +32,9 @@ main(int argc, char** argv)
     };
     row("Texture", c.textureCacheKB, c.textureCacheWays,
         c.textureCacheLine, c.textureCachePorts);
-    row("Z", c.zCacheKB, c.zCacheWays, c.zCacheLine, 4);
-    row("Color", c.colorCacheKB, c.colorCacheWays, c.colorCacheLine,
+    // A Z or colour line is one framebuffer tile.
+    row("Z", c.zCacheKB, c.zCacheWays, gpu::fbTileBytes, 4);
+    row("Color", c.colorCacheKB, c.colorCacheWays, gpu::fbTileBytes,
         4);
 
     // Measured behaviour on the shadows workload.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
 
 namespace attila::gpu
 {
@@ -11,7 +12,7 @@ FbCache::FbCache(std::string name, const Config& config,
                  LineBacking* backing)
     : _name(std::move(name)),
       _config(config),
-      _backing(backing ? backing : &_defaultBacking),
+      _backing(backing),
       _hits(hits),
       _misses(misses)
 {
@@ -52,9 +53,6 @@ FbCache::FbCache(std::string name, const Config& config,
     const u32 ordCap = std::bit_ceil(_config.maxOutstanding);
     _order.assign(ordCap, 0);
     _ordMask = ordCap - 1;
-
-    _backing->setLineBytes(_config.lineBytes);
-    _defaultBacking.setLineBytes(_config.lineBytes);
 }
 
 s32
@@ -118,8 +116,14 @@ FbCache::queueWriteback(Cycle, u32 lineIndex)
     txn->isRead = false;
     txn->address = _addr[lineIndex];
     txn->data.resize(_config.lineBytes);
-    const u32 size = _backing->writeback(
-        _addr[lineIndex], lineData(lineIndex), txn->data.data());
+    u32 size = _config.lineBytes;
+    if (_backing) {
+        size = _backing->writeback(_addr[lineIndex],
+                                   lineData(lineIndex),
+                                   txn->data.data());
+    } else {
+        std::memcpy(txn->data.data(), lineData(lineIndex), size);
+    }
     txn->data.resize(size);
     txn->size = size;
     txn->tag = (static_cast<u64>(_addr[lineIndex]) << 1) | 1;
@@ -186,7 +190,7 @@ FbCache::access(Cycle cycle, u32 addr, bool forWrite)
     FillSlot& slot = _slots[slotIdx];
     slot.addr = lineAddr;
     slot.lineIndex = victim;
-    slot.localOnly = _backing->fillSize(lineAddr) == 0;
+    slot.localOnly = _backing && _backing->fillSize(lineAddr) == 0;
     slot.issued = false;
     slot.cancelled = false;
     _order[(_ordHead + _ordCount) & _ordMask] = slotIdx;
@@ -279,7 +283,8 @@ FbCache::clock(Cycle cycle, MemPort& port, MemClient client)
         MemTransactionPtr txn = _txnPool.acquire();
         txn->isRead = true;
         txn->address = slot.addr;
-        txn->size = _backing->fillSize(slot.addr);
+        txn->size =
+            _backing ? _backing->fillSize(slot.addr) : _config.lineBytes;
         txn->client = client;
         txn->tag = static_cast<u64>(slot.addr) << 1;
         port.request(cycle, txn);
@@ -324,9 +329,14 @@ FbCache::clock(Cycle cycle, MemPort& port, MemClient client)
             if (slot.cancelled) {
                 --_cancelled; // Stale data discarded.
             } else {
-                _backing->fillFromMemory(addr, txn->data.data(),
-                                         txn->size,
-                                         lineData(slot.lineIndex));
+                u8* line = lineData(slot.lineIndex);
+                if (_backing) {
+                    _backing->fillFromMemory(addr, txn->data.data(),
+                                             txn->size, line);
+                } else {
+                    std::memcpy(line, txn->data.data(),
+                                _config.lineBytes);
+                }
                 _state[slot.lineIndex] = LineState::Valid;
             }
             removeFillAt(i);

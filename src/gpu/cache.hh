@@ -9,9 +9,9 @@
  * with full memory controller timing.
  *
  * A LineBacking policy customizes how lines are filled from and
- * written back to memory; this is where the Z compression and fast
- * clear algorithms plug in (the ROPz backing compresses on eviction
- * and services cleared blocks without memory traffic).
+ * written back to memory; this is where the ROP surfaces' fast clear
+ * and compression plug in (gpu/rop_surface.hh: cleared blocks fill
+ * without memory traffic, dirty tiles compress on eviction).
  *
  * Host-side layout (not modeled state): line data lives in one
  * contiguous arena and the tag metadata in flat parallel arrays
@@ -26,7 +26,6 @@
 #ifndef ATTILA_GPU_CACHE_HH
 #define ATTILA_GPU_CACHE_HH
 
-#include <cstring>
 #include <vector>
 
 #include "gpu/memory_controller.hh"
@@ -37,105 +36,28 @@
 namespace attila::gpu
 {
 
-/** Per-block compression / clear state (paper §2.2). */
-enum class BlockState : u8
-{
-    Cleared,      ///< Fast-cleared; no memory backing yet.
-    Uncompressed, ///< 256 bytes in memory.
-    CompHalf,     ///< 128 bytes (1:2).
-    CompQuarter,  ///< 64 bytes (1:4).
-};
-
-/** The on-chip block state memory of a ROP unit. */
-class BlockStateTable
-{
-  public:
-    void
-    reset(u32 blocks, BlockState initial)
-    {
-        _states.assign(blocks, initial);
-    }
-
-    /** Set every block to @p state (the fast clear operation). */
-    void
-    clearAll(BlockState state)
-    {
-        std::fill(_states.begin(), _states.end(), state);
-    }
-
-    BlockState
-    get(u32 block) const
-    {
-        return block < _states.size() ? _states[block]
-                                      : BlockState::Uncompressed;
-    }
-
-    void
-    set(u32 block, BlockState state)
-    {
-        if (block < _states.size())
-            _states[block] = state;
-    }
-
-    u32 blocks() const { return static_cast<u32>(_states.size()); }
-
-  private:
-    std::vector<BlockState> _states;
-};
-
-/** Fill/writeback policy of a cache. */
+/** Fill/writeback policy of a cache whose lines are not plain
+ * copies of memory (the ROP surfaces' block-state backings). */
 class LineBacking
 {
   public:
     virtual ~LineBacking() = default;
 
-    /**
-     * Bytes to fetch from memory to fill the line at @p lineAddr.
-     * Return 0 for lines needing no memory access (cleared blocks);
-     * fillLocal() is called instead.
-     */
-    virtual u32
-    fillSize(u32 lineAddr)
-    {
-        (void)lineAddr;
-        return _lineBytes;
-    }
+    /** Bytes to fetch to fill the line at @p lineAddr; 0 when
+     * fillLocal() fills it without memory traffic. */
+    virtual u32 fillSize(u32 lineAddr) const = 0;
 
     /** Decode @p size fetched bytes into the line. */
-    virtual void
-    fillFromMemory(u32 lineAddr, const u8* memBytes, u32 size,
-                   u8* lineOut)
-    {
-        (void)lineAddr;
-        (void)size;
-        std::memcpy(lineOut, memBytes, _lineBytes);
-    }
+    virtual void fillFromMemory(u32 lineAddr, const u8* memBytes,
+                                u32 size, u8* lineOut) const = 0;
 
     /** Fill a line that needs no memory traffic. */
-    virtual void
-    fillLocal(u32 lineAddr, u8* lineOut)
-    {
-        (void)lineAddr;
-        std::memset(lineOut, 0, _lineBytes);
-    }
+    virtual void fillLocal(u32 lineAddr, u8* lineOut) const = 0;
 
-    /**
-     * Encode a dirty line for writeback into @p out (at least
-     * _lineBytes large); return the byte count to write (the Z
-     * compressor returns 64/128/256).
-     */
-    virtual u32
-    writeback(u32 lineAddr, const u8* lineData, u8* out)
-    {
-        (void)lineAddr;
-        std::memcpy(out, lineData, _lineBytes);
-        return _lineBytes;
-    }
-
-    void setLineBytes(u32 bytes) { _lineBytes = bytes; }
-
-  protected:
-    u32 _lineBytes = 256;
+    /** Encode a dirty line into @p out (one line large); return the
+     * byte count to write (the Z compressor returns 64/128/256). */
+    virtual u32 writeback(u32 lineAddr, const u8* lineData,
+                          u8* out) = 0;
 };
 
 /** Outcome of a cache access attempt. */
@@ -146,7 +68,8 @@ enum class CacheAccess : u8
     Blocked, ///< No resource (ports, victims, memory queue).
 };
 
-/** A set-associative, write-back cache with pluggable backing. */
+/** A set-associative, write-back cache with pluggable backing
+ * (none: lines are plain copies of memory). */
 class FbCache
 {
   public:
@@ -277,7 +200,6 @@ class FbCache
 
     std::string _name;
     Config _config;
-    LineBacking _defaultBacking;
     LineBacking* _backing;
     u32 _sets;
     u32 _lineCount;

@@ -9,20 +9,58 @@ namespace attila::gpu
 
 using emu::FragmentOpEmulator;
 
+namespace
+{
+
+const RopSurface::Kind kColorSurface{
+    "ropc",
+    "colorcache",
+    MemClient::ColorCache,
+    ControlKind::ClearColor,
+    [](const RenderState& s) { return s.colorBufferAddress; },
+    [](const RenderState& s) {
+        return FragmentOpEmulator::packRgba8(s.clearColor);
+    },
+};
+
+} // anonymous namespace
+
+void
+ColorBacking::fillFromMemory(u32 lineAddr, const u8* memBytes, u32,
+                             u8* lineOut) const
+{
+    if (stateOf(lineAddr) == BlockState::CompQuarter) {
+        // Uniform tile: replicate the stored word.
+        for (u32 i = 0; i < fbTilePixels; ++i)
+            std::memcpy(lineOut + i * 4, memBytes, 4);
+        return;
+    }
+    std::memcpy(lineOut, memBytes, fbTileBytes);
+}
+
+u32
+ColorBacking::writeback(u32 lineAddr, const u8* lineData, u8* out)
+{
+    bool uniform = compressionEnabled;
+    for (u32 i = 1; i < fbTilePixels && uniform; ++i)
+        uniform = std::memcmp(lineData, lineData + i * 4, 4) == 0;
+    const u32 size = uniform ? fbTileBytes / 4 : fbTileBytes;
+    setState(lineAddr, uniform ? BlockState::CompQuarter
+                               : BlockState::Uncompressed);
+    std::memcpy(out, lineData, size);
+    return size;
+}
+
 ColorWrite::ColorWrite(sim::SignalBinder& binder,
                        sim::StatisticManager& stats,
                        const GpuConfig& config, u32 unit,
                        emu::GpuMemory& memory)
     : Box(binder, stats, "ColorWrite" + std::to_string(unit)),
-      _config(config),
       _unit(unit),
-      _memory(memory),
-      _cache("colorcache" + std::to_string(unit),
-             FbCache::Config{config.colorCacheKB,
-                             config.colorCacheWays,
-                             config.colorCacheLine, 4,
-                             config.colorCacheMshr},
-             stat("cacheHits"), stat("cacheMisses"), &_backing),
+      _surface(kColorSurface, config, unit, memory,
+               config.colorCacheKB, config.colorCacheWays,
+               config.colorCacheMshr, stat("cacheHits"),
+               stat("cacheMisses"), _backing),
       _statQuads(stat("quads")),
       _statFragments(stat("fragments")),
       _statBlended(stat("blendedFragments")),
@@ -33,81 +71,8 @@ ColorWrite::ColorWrite(sim::SignalBinder& binder,
     _lateIn.init(*this, binder, "ropz" + id + ".ropc", 1,
                  config.ropLatency, 8);
     _retire.init(*this, binder, "ropc" + id + ".retire", 1, 1, 8);
-    _ctrl.init(*this, binder, "cp.ctrl.ropc" + id, 1, 1, 2);
-    _ack.init(*this, binder, "ack.ropc" + id, 1, 1, 2);
-    _mem.init(*this, binder, "mc.colorcache" + id,
-              config.memoryRequestQueue);
+    _surface.init(*this, binder);
     _backing.compressionEnabled = config.colorCompression;
-}
-
-void
-ColorWrite::processControl(Cycle cycle)
-{
-    if (_ctrlPhase == CtrlPhase::Clearing) {
-        if (cycle < _ctrlDoneAt || !_ack.canSend(cycle))
-            return;
-        auto ack = std::make_shared<AckObj>();
-        ack->kind = _ctrlKind;
-        ack->unit = _unit;
-        _ack.send(cycle, ack);
-        _ctrlPhase = CtrlPhase::None;
-        return;
-    }
-    if (_ctrlPhase == CtrlPhase::Flushing) {
-        if (!_cache.flushStep(cycle, _mem, MemClient::ColorCache))
-            return;
-        if (!_ack.canSend(cycle))
-            return;
-        auto ack = std::make_shared<AckObj>();
-        ack->kind = _ctrlKind;
-        ack->unit = _unit;
-        _ack.send(cycle, ack);
-        _ctrlPhase = CtrlPhase::None;
-        return;
-    }
-
-    if (_ctrl.empty())
-        return;
-    ControlObjPtr ctrl = _ctrl.pop(cycle);
-    _ctrlKind = ctrl->kind;
-    const RenderState& state = *ctrl->state;
-
-    if (ctrl->kind == ControlKind::ClearColor) {
-        _backing.info->bufferBase = state.colorBufferAddress;
-        _backing.info->clearWord =
-            FragmentOpEmulator::packRgba8(state.clearColor);
-        const u32 tiles =
-            fbSurfaceBytes(state.width, state.height) / fbTileBytes;
-        _cache.invalidateAll();
-        if (_config.fastClear) {
-            _backing.info->table.reset(tiles, BlockState::Cleared);
-            _ctrlDoneAt = cycle + _config.clearCycles;
-        } else {
-            _backing.info->table.reset(tiles,
-                                       BlockState::Uncompressed);
-            for (u32 t = _unit; t < tiles; t += _config.numRops) {
-                for (u32 w = 0; w < fbTilePixels; ++w) {
-                    _memory.writeAs<u32>(
-                        _backing.info->bufferBase + t * fbTileBytes +
-                            w * 4,
-                        _backing.info->clearWord);
-                }
-            }
-            const u32 myTiles =
-                (tiles + _config.numRops - 1) / _config.numRops;
-            _ctrlDoneAt =
-                cycle + static_cast<Cycle>(myTiles) * fbTileBytes /
-                            (_config.memoryChannels *
-                             _config.channelBytesPerCycle);
-        }
-        _ctrlPhase = CtrlPhase::Clearing;
-        return;
-    }
-    if (ctrl->kind == ControlKind::Flush) {
-        _ctrlPhase = CtrlPhase::Flushing;
-        return;
-    }
-    panic("ColorWrite: unexpected control message");
 }
 
 bool
@@ -120,7 +85,8 @@ ColorWrite::colorAccess(Cycle cycle, QuadObj& quad)
     const u32 lineAddr = fbTileAddress(
         state.colorBufferAddress, state.width,
         static_cast<u32>(quad.x0), static_cast<u32>(quad.y0));
-    if (_cache.access(cycle, lineAddr, false) != CacheAccess::Hit)
+    FbCache& cache = _surface.cache();
+    if (cache.access(cycle, lineAddr, false) != CacheAccess::Hit)
         return false;
 
     bool wrote = false;
@@ -135,16 +101,16 @@ ColorWrite::colorAccess(Cycle cycle, QuadObj& quad)
         const u32 addr = fbPixelAddress(state.colorBufferAddress,
                                         state.width, x, y);
         u32 stored;
-        std::memcpy(&stored, _cache.wordPtr(addr), 4);
+        std::memcpy(&stored, cache.wordPtr(addr), 4);
         const u32 updated = FragmentOpEmulator::colorWrite(
             state.blend, quad.out[f][emu::regix::foutColor], stored);
         if (updated != stored) {
-            std::memcpy(_cache.wordPtr(addr), &updated, 4);
+            std::memcpy(cache.wordPtr(addr), &updated, 4);
             wrote = true;
         }
     }
     if (wrote)
-        _cache.markDirty(lineAddr);
+        cache.markDirty(lineAddr);
     return true;
 }
 
@@ -156,33 +122,29 @@ ColorWrite::popMarkers(Cycle cycle, LinkRx<QuadObj>& rx, bool late)
     const QuadObjPtr& head = rx.front();
 
     if (head->marker == MarkerKind::BatchStart) {
+        if (_haveCur && head->batchId != _curBatch)
+            return false; // Next batch's start: wait.
         if (!_haveCur) {
             // Adopt the next batch (streams deliver batches in
             // issue order).
             _haveCur = true;
             _curBatch = head->batchId;
             _endEarly = _endLate = false;
-            rx.pop(cycle);
-            return true;
         }
-        if (head->batchId == _curBatch) {
-            rx.pop(cycle);
-            return true;
-        }
-        return false; // Next batch's start: wait.
+        rx.pop(cycle);
+        return true;
     }
 
     // BatchEnd.
-    if (_haveCur && head->batchId == _curBatch) {
-        rx.pop(cycle);
-        (late ? _endLate : _endEarly) = true;
-        if (_endEarly && _endLate) {
-            _retireQueue.push_back(_curBatch);
-            _haveCur = false;
-        }
-        return true;
+    if (!_haveCur || head->batchId != _curBatch)
+        return false;
+    rx.pop(cycle);
+    (late ? _endLate : _endEarly) = true;
+    if (_endEarly && _endLate) {
+        _retireQueue.push_back(_curBatch);
+        _haveCur = false;
     }
-    return false;
+    return true;
 }
 
 void
@@ -199,16 +161,14 @@ ColorWrite::processQuads(Cycle cycle)
     // One quad per cycle (4 fragments, Table 1); a batch's quads
     // arrive on exactly one of the two inputs.
     for (LinkRx<QuadObj>* rx : {&_lateIn, &_earlyIn}) {
-        if (rx->empty() || rx->front()->isMarker())
+        if (rx->empty() || rx->front()->isMarker() ||
+            rx->front()->batchId != _curBatch)
             continue;
-        if (rx->front()->batchId != _curBatch)
-            continue;
-        QuadObjPtr quad = rx->front();
-        if (!colorAccess(cycle, *quad))
-            return;
-        rx->pop(cycle);
-        _statQuads.inc();
-        _statBusy.inc();
+        if (colorAccess(cycle, *rx->front())) {
+            rx->pop(cycle);
+            _statQuads.inc();
+            _statBusy.inc();
+        }
         return;
     }
 }
@@ -230,14 +190,10 @@ ColorWrite::update(Cycle cycle)
     _earlyIn.clock(cycle);
     _lateIn.clock(cycle);
     _retire.clock(cycle);
-    _ctrl.clock(cycle);
-    _ack.clock(cycle);
-    _mem.clock(cycle);
 
-    processControl(cycle);
-    if (_ctrlPhase == CtrlPhase::None) {
+    if (_surface.update(cycle) == RopStep::Run) {
         processQuads(cycle);
-        _cache.clock(cycle, _mem, MemClient::ColorCache);
+        _surface.clockCache(cycle);
     }
     tryRetire(cycle);
     _statQuads.commit();
@@ -250,8 +206,7 @@ bool
 ColorWrite::empty() const
 {
     return _earlyIn.empty() && _lateIn.empty() &&
-           _retireQueue.empty() && _ctrl.empty() &&
-           _ctrlPhase == CtrlPhase::None && _cache.idle();
+           _retireQueue.empty() && _surface.idle();
 }
 
 } // namespace attila::gpu

@@ -1,8 +1,7 @@
 #include "gpu/dac.hh"
 
+#include <array>
 #include <fstream>
-
-#include "emu/fragment_op_emulator.hh"
 
 namespace attila::gpu
 {
@@ -40,9 +39,11 @@ FrameImage::diffCount(const FrameImage& other) const
 }
 
 Dac::Dac(sim::SignalBinder& binder, sim::StatisticManager& stats,
-         const GpuConfig& config)
+         const GpuConfig& config, const emu::GpuMemory& memory,
+         std::vector<const RopBacking*> colorBackings)
     : Box(binder, stats, "DAC"),
-      _config(config),
+      _memory(memory),
+      _colorBackings(std::move(colorBackings)),
       _statFrames(stat("frames")),
       _statBusy(stat("busyCycles"))
 {
@@ -60,42 +61,26 @@ Dac::assembleFrame(const RenderState& state)
     frame.pixels.assign(static_cast<std::size_t>(state.width) *
                             state.height,
                         0);
-    if (!_memory)
-        panic("DAC: no memory attached");
 
-    for (u32 y = 0; y < state.height; ++y) {
-        for (u32 x = 0; x < state.width; ++x) {
-            const u32 tile =
-                fbTileIndex(state.width, x, y);
-            // A tile still in the "cleared" block state has no
-            // memory backing: the clear colour is its content.
-            // Only the ROP owning the tile (tile interleaving)
-            // holds its authoritative state.
-            bool resolved = false;
-            u32 word = 0;
-            if (!_clearInfos.empty()) {
-                const auto& info =
-                    _clearInfos[tile % _clearInfos.size()];
-                if (info->bufferBase == state.colorBufferAddress) {
-                    const BlockState bs = info->table.get(tile);
-                    if (bs == BlockState::Cleared) {
-                        resolved = true;
-                        word = info->clearWord;
-                    } else if (bs == BlockState::CompQuarter) {
-                        // Uniform compressed tile: the single
-                        // stored word is the whole tile.
-                        resolved = true;
-                        word = _memory->readAs<u32>(fbTileAddress(
-                            state.colorBufferAddress, state.width,
-                            x, y));
-                    }
-                }
-            }
-            frame.pixels[y * state.width + x] =
-                resolved ? word
-                         : _memory->readAs<u32>(fbPixelAddress(
-                               state.colorBufferAddress,
-                               state.width, x, y));
+    const u32 base = state.colorBufferAddress;
+    const u32 tilesPerRow = fbTilesPerRow(state.width);
+    const u32 tiles = fbSurfaceBytes(state.width, state.height) /
+                      fbTileBytes;
+    std::array<u32, fbTilePixels> tile;
+    for (u32 t = 0; t < tiles; ++t) {
+        // The ROP owning the tile holds its block state: resolve it
+        // as that ROP's colour cache would fill it (a tile outside
+        // the buffer the ROP cleared last is plain memory).
+        _colorBackings[t % _colorBackings.size()]->resolveTile(
+            base + t * fbTileBytes, _memory,
+            reinterpret_cast<u8*>(tile.data()));
+        const u32 x0 = (t % tilesPerRow) * fbTileDim;
+        const u32 y0 = (t / tilesPerRow) * fbTileDim;
+        for (u32 i = 0; i < fbTilePixels; ++i) {
+            const u32 x = x0 + i % fbTileDim;
+            const u32 y = y0 + i / fbTileDim;
+            if (x < state.width && y < state.height)
+                frame.pixels[y * state.width + x] = tile[i];
         }
     }
     if (_keepLastOnly)

@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "emu/memory.hh"
-#include "gpu/color_write.hh"
+#include "gpu/rop_surface.hh"
 #include "gpu/gpu_config.hh"
 #include "gpu/link.hh"
 #include "sim/box.hh"
@@ -48,24 +48,18 @@ struct FrameImage
 class Dac : public sim::Box
 {
   public:
+    /** @p colorBackings: the ColorWrite units' colour backings, in
+     * unit order (unit i owns the tiles i, i + units, ...); they
+     * must outlive the DAC. */
     Dac(sim::SignalBinder& binder, sim::StatisticManager& stats,
-        const GpuConfig& config);
+        const GpuConfig& config, const emu::GpuMemory& memory,
+        std::vector<const RopBacking*> colorBackings);
 
     void update(Cycle cycle) override;
     bool empty() const override;
     /** Idle == drained: update() is a no-op whenever the unit holds
      * no work and its inputs are quiet. */
     bool busy() const override { return !empty(); }
-
-    /** Clear-state tables of the ColorWrite units (set by Gpu). */
-    void
-    setClearInfo(
-        std::vector<std::shared_ptr<const ColorClearInfo>> infos)
-    {
-        _clearInfos = std::move(infos);
-    }
-
-    void setMemory(const emu::GpuMemory* memory) { _memory = memory; }
 
     const std::vector<FrameImage>& frames() const { return _frames; }
 
@@ -75,14 +69,13 @@ class Dac : public sim::Box
   private:
     void assembleFrame(const RenderState& state);
 
-    const GpuConfig& _config;
     LinkRx<ControlObj> _ctrl;
     LinkTx _ack;
     MemPort _mem;
     sim::ObjectPool<MemTransaction> _txns;
 
-    std::vector<std::shared_ptr<const ColorClearInfo>> _clearInfos;
-    const emu::GpuMemory* _memory = nullptr;
+    const emu::GpuMemory& _memory;
+    const std::vector<const RopBacking*> _colorBackings;
     std::vector<FrameImage> _frames;
     bool _keepLastOnly = false;
 

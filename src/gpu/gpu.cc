@@ -73,14 +73,11 @@ Gpu::Gpu(const GpuConfig& config)
         _ropc.push_back(std::make_unique<ColorWrite>(
             binder, stats, _config, i, *_memory));
     }
-    _dac = std::make_unique<Dac>(binder, stats, _config);
-    _dac->setMemory(_memory.get());
-    {
-        std::vector<std::shared_ptr<const ColorClearInfo>> infos;
-        for (const auto& rop : _ropc)
-            infos.push_back(rop->clearInfo());
-        _dac->setClearInfo(std::move(infos));
-    }
+    std::vector<const RopBacking*> colorBackings;
+    for (const auto& rop : _ropc)
+        colorBackings.push_back(&rop->backing());
+    _dac = std::make_unique<Dac>(binder, stats, _config, *_memory,
+                                 std::move(colorBackings));
 
     std::vector<std::string> clients;
     clients.push_back("mc.cp");

@@ -53,14 +53,13 @@ textureCacheSplits(const GpuConfig& c)
 std::string
 zCacheSplits(const GpuConfig& c)
 {
-    return cacheSplits(c.zCacheKB, c.zCacheWays, c.zCacheLine);
+    return cacheSplits(c.zCacheKB, c.zCacheWays, fbTileBytes);
 }
 
 std::string
 colorCacheSplits(const GpuConfig& c)
 {
-    return cacheSplits(c.colorCacheKB, c.colorCacheWays,
-                       c.colorCacheLine);
+    return cacheSplits(c.colorCacheKB, c.colorCacheWays, fbTileBytes);
 }
 
 /** The banked-model timing string parses (it is the stored form). */
@@ -87,10 +86,6 @@ constexpr ConfigDomain units{.min = 1, .max = 32};
 constexpr ConfigDomain bytes{.min = 1, .max = 1u << 20};
 /** Miss slots: the fill table's free mask is 32 bits. */
 constexpr ConfigDomain mshr{.min = 1, .max = 32};
-/** A Z or colour cache line holds exactly one framebuffer tile (the
- * backings, HZ blocks and quad addressing assume it). */
-constexpr ConfigDomain tileLine{
-    .min = 1, .max = fbTileBytes, .multipleOf = fbTileBytes};
 
 /**
  * The field table: every key, its field and the values it accepts.
@@ -144,13 +139,11 @@ visitConfigFields(GpuConfig& c, V&& v)
             {.min = 1, .max = 1024, .relation = zCacheSplits});
     v.field("rop.zCacheWays", c.zCacheWays,
             {.min = 1, .max = 64, .relation = zCacheSplits});
-    v.field("rop.zCacheLine", c.zCacheLine, tileLine);
     v.field("rop.zCacheMshr", c.zCacheMshr, mshr);
     v.field("rop.colorCacheKB", c.colorCacheKB,
             {.min = 1, .max = 1024, .relation = colorCacheSplits});
     v.field("rop.colorCacheWays", c.colorCacheWays,
             {.min = 1, .max = 64, .relation = colorCacheSplits});
-    v.field("rop.colorCacheLine", c.colorCacheLine, tileLine);
     v.field("rop.colorCacheMshr", c.colorCacheMshr, mshr);
     v.field("rop.zCompression", c.zCompression);
     v.field("rop.fastClear", c.fastClear);
@@ -387,10 +380,18 @@ void
 GpuConfig::applySet(const std::string& assignments,
                     const std::string& origin)
 {
+    applySets({{assignments, origin}});
+}
+
+void
+GpuConfig::applySets(const std::vector<SetEntry>& layer)
+{
     sim::ConfigFile cfg;
-    for (const std::string& one :
-         sim::ConfigFile::splitAssignments(assignments))
-        cfg.setOverride(one, origin);
+    for (const SetEntry& entry : layer) {
+        for (const std::string& one :
+             sim::ConfigFile::splitAssignments(entry.assignments))
+            cfg.setOverride(one, entry.origin);
+    }
     applyConfig(*this, cfg);
 }
 

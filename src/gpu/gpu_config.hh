@@ -231,13 +231,12 @@ struct GpuConfig
     // ===== ROPs =====================================================
     u32 numRops = 2;         ///< Z/stencil + colour units each.
     u32 ropLatency = 2;      ///< Pipeline latency before memory.
+    // A Z or colour cache line is one framebuffer tile (fbTileBytes).
     u32 zCacheKB = 16;
     u32 zCacheWays = 4;
-    u32 zCacheLine = 256;
     u32 zCacheMshr = 4;
     u32 colorCacheKB = 16;
     u32 colorCacheWays = 4;
-    u32 colorCacheLine = 256;
     u32 colorCacheMshr = 4;
     bool zCompression = true;
     bool fastClear = true;
@@ -419,6 +418,18 @@ struct GpuConfig
      */
     void applySet(const std::string& assignments,
                   const std::string& origin = "--set");
+
+    /** One entry of an override layer: an assignment list in the
+     * ATTILA_CONFIG_SET form and where it was given. */
+    struct SetEntry
+    {
+        std::string assignments;
+        std::string origin;
+    };
+
+    /** Apply @p layer as one layer (see applySet; later entries win
+     * on the same key), naming each entry's own origin. */
+    void applySets(const std::vector<SetEntry>& layer);
 
     /**
      * Apply the environment layer: ATTILA_CONFIG (a config file

@@ -10,27 +10,28 @@ namespace attila::gpu
 using emu::FragmentOpEmulator;
 using emu::ZCompressor;
 
-u32
-ZStencilBacking::fillSize(u32 lineAddr)
+namespace
 {
-    switch (table.get(blockOf(lineAddr))) {
-      case BlockState::Cleared:
-        return 0;
-      case BlockState::CompHalf:
-        return emu::zTileBytes / 2;
-      case BlockState::CompQuarter:
-        return emu::zTileBytes / 4;
-      case BlockState::Uncompressed:
-        return emu::zTileBytes;
-    }
-    return emu::zTileBytes;
-}
+
+const RopSurface::Kind kZStencilSurface{
+    "ropz",
+    "zcache",
+    MemClient::ZCache,
+    ControlKind::ClearZStencil,
+    [](const RenderState& s) { return s.zStencilBufferAddress; },
+    [](const RenderState& s) {
+        return emu::packDepthStencil(emu::quantizeDepth(s.clearDepth),
+                                     s.clearStencil);
+    },
+};
+
+} // anonymous namespace
 
 void
 ZStencilBacking::fillFromMemory(u32 lineAddr, const u8* memBytes,
-                                u32 size, u8* lineOut)
+                                u32 size, u8* lineOut) const
 {
-    const BlockState state = table.get(blockOf(lineAddr));
+    const BlockState state = stateOf(lineAddr);
     if (state == BlockState::Uncompressed) {
         std::memcpy(lineOut, memBytes, emu::zTileBytes);
         return;
@@ -43,14 +44,6 @@ ZStencilBacking::fillFromMemory(u32 lineAddr, const u8* memBytes,
     std::memcpy(lineOut, tile.data(), emu::zTileBytes);
 }
 
-void
-ZStencilBacking::fillLocal(u32 lineAddr, u8* lineOut)
-{
-    (void)lineAddr;
-    for (u32 i = 0; i < emu::zTileWords; ++i)
-        std::memcpy(lineOut + i * 4, &clearWord, 4);
-}
-
 u32
 ZStencilBacking::writeback(u32 lineAddr, const u8* lineData, u8* out)
 {
@@ -58,28 +51,27 @@ ZStencilBacking::writeback(u32 lineAddr, const u8* lineData, u8* out)
     std::memcpy(tile.data(), lineData, emu::zTileBytes);
 
     // Exact tile maximum refines the Hierarchical Z buffer.
-    if (hzHook) {
-        u32 maxDepth = 0;
-        for (u32 w : tile)
-            maxDepth = std::max(maxDepth, emu::depthOf(w));
-        hzHook(blockOf(lineAddr),
-               static_cast<f32>(maxDepth) /
-                   static_cast<f32>(emu::maxDepthValue));
-    }
+    u32 maxDepth = 0;
+    for (u32 w : tile)
+        maxDepth = std::max(maxDepth, emu::depthOf(w));
+    auto update = _hzPool.acquire();
+    update->tileIndex = blockOf(lineAddr);
+    update->maxZ = static_cast<f32>(maxDepth) /
+                   static_cast<f32>(emu::maxDepthValue);
+    hzUpdates.push_back(std::move(update));
 
     if (compressionEnabled) {
         const auto result = ZCompressor::compress(tile);
         if (result.mode != emu::TileCompression::Uncompressed) {
-            table.set(blockOf(lineAddr),
-                      result.mode == emu::TileCompression::Half
-                          ? BlockState::CompHalf
-                          : BlockState::CompQuarter);
-            std::memcpy(out, result.data.data(),
-                        result.data.size());
+            setState(lineAddr,
+                     result.mode == emu::TileCompression::Half
+                         ? BlockState::CompHalf
+                         : BlockState::CompQuarter);
+            std::memcpy(out, result.data.data(), result.data.size());
             return static_cast<u32>(result.data.size());
         }
     }
-    table.set(blockOf(lineAddr), BlockState::Uncompressed);
+    setState(lineAddr, BlockState::Uncompressed);
     std::memcpy(out, lineData, emu::zTileBytes);
     return emu::zTileBytes;
 }
@@ -90,13 +82,9 @@ ZStencilTest::ZStencilTest(sim::SignalBinder& binder,
                            emu::GpuMemory& memory)
     : Box(binder, stats, "ZStencilTest" + std::to_string(unit)),
       _config(config),
-      _unit(unit),
-      _memory(memory),
-      _cache("zcache" + std::to_string(unit),
-             FbCache::Config{config.zCacheKB, config.zCacheWays,
-                             config.zCacheLine, 4,
-                             config.zCacheMshr},
-             stat("cacheHits"), stat("cacheMisses"), &_backing),
+      _surface(kZStencilSurface, config, unit, memory, config.zCacheKB,
+               config.zCacheWays, config.zCacheMshr, stat("cacheHits"),
+               stat("cacheMisses"), _backing),
       _statQuads(stat("quads")),
       _statFragsTested(stat("fragmentsTested")),
       _statFragsPassed(stat("fragmentsPassed")),
@@ -111,101 +99,9 @@ ZStencilTest::ZStencilTest(sim::SignalBinder& binder,
     _toRopc.init(*this, binder, "ropz" + id + ".ropc", 1,
                  config.ropLatency, 8);
     _hzUpdates.init(*this, binder, "ropz" + id + ".hzupd", 4, 1, 32);
-    _ctrl.init(*this, binder, "cp.ctrl.ropz" + id, 1, 1, 2);
-    _ack.init(*this, binder, "ack.ropz" + id, 1, 1, 2);
-    _mem.init(*this, binder, "mc.zcache" + id,
-              config.memoryRequestQueue);
+    _surface.init(*this, binder);
 
     _backing.compressionEnabled = config.zCompression;
-    _backing.hzHook = _hzEnqueue;
-}
-
-void
-ZStencilTest::HzEnqueue::operator()(u32 tileIndex, f32 maxZ) const
-{
-    auto upd = owner->_hzPool.acquire();
-    upd->tileIndex = tileIndex;
-    upd->maxZ = maxZ;
-    owner->_hzQueue.push_back(std::move(upd));
-}
-
-void
-ZStencilTest::processControl(Cycle cycle)
-{
-    if (_ctrlPhase == CtrlPhase::Clearing) {
-        if (cycle < _ctrlDoneAt || !_ack.canSend(cycle))
-            return;
-        auto ack = std::make_shared<AckObj>();
-        ack->kind = _ctrlKind;
-        ack->unit = _unit;
-        _ack.send(cycle, ack);
-        _ctrlPhase = CtrlPhase::None;
-        return;
-    }
-    if (_ctrlPhase == CtrlPhase::Flushing) {
-        if (!_cache.flushStep(cycle, _mem, MemClient::ZCache))
-            return;
-        if (!_ack.canSend(cycle))
-            return;
-        auto ack = std::make_shared<AckObj>();
-        ack->kind = _ctrlKind;
-        ack->unit = _unit;
-        _ack.send(cycle, ack);
-        _ctrlPhase = CtrlPhase::None;
-        return;
-    }
-
-    if (_ctrl.empty())
-        return;
-    ControlObjPtr ctrl = _ctrl.pop(cycle);
-    _ctrlKind = ctrl->kind;
-    const RenderState& state = *ctrl->state;
-
-    if (ctrl->kind == ControlKind::ClearZStencil) {
-        _backing.bufferBase = state.zStencilBufferAddress;
-        _backing.clearWord = emu::packDepthStencil(
-            emu::quantizeDepth(state.clearDepth),
-            state.clearStencil);
-        const u32 tiles =
-            fbSurfaceBytes(state.width, state.height) / fbTileBytes;
-        _cache.invalidateAll();
-        if (_config.fastClear) {
-            // Fast clear: flip the block states, a few cycles.
-            _backing.table.reset(tiles, BlockState::Cleared);
-            _ctrlDoneAt = cycle + _config.clearCycles;
-        } else {
-            // Slow clear (ablation): write the whole buffer.  The
-            // data movement is functional; the cost models an
-            // uncontended sequential write of the surface.
-            _backing.table.reset(tiles, BlockState::Uncompressed);
-            const u32 myUnit = _unit;
-            for (u32 t = myUnit; t < tiles;
-                 t += _config.numRops) {
-                for (u32 w = 0; w < emu::zTileWords; ++w) {
-                    _memory.writeAs<u32>(_backing.bufferBase +
-                                             t * fbTileBytes + w * 4,
-                                         _backing.clearWord);
-                }
-            }
-            const u32 myTiles =
-                (tiles + _config.numRops - 1) / _config.numRops;
-            _ctrlDoneAt =
-                cycle + static_cast<Cycle>(myTiles) * fbTileBytes /
-                            (_config.memoryChannels *
-                             _config.channelBytesPerCycle);
-        }
-        // Late batches completed before a barrier can be forgotten.
-        _lateDone.clear();
-        _prevWasLate = false;
-        _gateBatch = ~0u;
-        _ctrlPhase = CtrlPhase::Clearing;
-        return;
-    }
-    if (ctrl->kind == ControlKind::Flush) {
-        _ctrlPhase = CtrlPhase::Flushing;
-        return;
-    }
-    panic("ZStencilTest: unexpected control message");
 }
 
 bool
@@ -221,8 +117,8 @@ ZStencilTest::zAccess(Cycle cycle, QuadObj& quad, bool shaded)
         state.zStencilBufferAddress, state.width,
         static_cast<u32>(quad.x0), static_cast<u32>(quad.y0));
 
-    const CacheAccess access = _cache.access(cycle, lineAddr, false);
-    if (access != CacheAccess::Hit)
+    FbCache& cache = _surface.cache();
+    if (cache.access(cycle, lineAddr, false) != CacheAccess::Hit)
         return false;
 
     const bool programWritesDepth =
@@ -240,7 +136,7 @@ ZStencilTest::zAccess(Cycle cycle, QuadObj& quad, bool shaded)
         const u32 addr = fbPixelAddress(
             state.zStencilBufferAddress, state.width, x, y);
         u32 stored;
-        std::memcpy(&stored, _cache.wordPtr(addr), 4);
+        std::memcpy(&stored, cache.wordPtr(addr), 4);
 
         f32 depth = quad.z[f];
         if (programWritesDepth)
@@ -250,7 +146,7 @@ ZStencilTest::zAccess(Cycle cycle, QuadObj& quad, bool shaded)
             zs, emu::quantizeDepth(depth), stored,
             quad.backFacing);
         if (result.newZS != stored) {
-            std::memcpy(_cache.wordPtr(addr), &result.newZS, 4);
+            std::memcpy(cache.wordPtr(addr), &result.newZS, 4);
             wrote = true;
         }
         if (result.pass) {
@@ -260,7 +156,7 @@ ZStencilTest::zAccess(Cycle cycle, QuadObj& quad, bool shaded)
         }
     }
     if (wrote)
-        _cache.markDirty(lineAddr);
+        cache.markDirty(lineAddr);
     return true;
 }
 
@@ -271,55 +167,29 @@ ZStencilTest::processEarly(Cycle cycle)
         return;
     const QuadObjPtr& head = _earlyIn.front();
 
-    if (head->isMarker()) {
-        if (head->marker == MarkerKind::BatchStart) {
-            // A batch's early Z accesses must wait until the
-            // previous batch — if it tested after shading — has
-            // finished its own Z accesses.
-            _gateBatch = _prevWasLate ? _prevBatchId : ~0u;
-            _prevWasLate = head->state && !head->state->earlyZ();
-            _prevBatchId = head->batchId;
-        }
-        // Markers take the same delay pipeline as quads so they can
-        // never overtake work of their own batch.
-        if (_delayInterp.size() >= 8)
+    if (head->marker == MarkerKind::BatchStart) {
+        // A batch's early Z accesses must wait until the previous
+        // batch — if it tested after shading — has finished its own
+        // Z accesses.
+        _gateBatch = _prevWasLate ? _prevBatchId : ~0u;
+        _prevWasLate = head->state && !head->state->earlyZ();
+        _prevBatchId = head->batchId;
+    } else if (!head->isMarker()) {
+        if (head->lateZPath) {
+            // Late-Z batch: pass through untested.
+            if (_toInterp.canSend(cycle)) {
+                _toInterp.send(cycle, _earlyIn.pop(cycle));
+                _statQuads.inc();
+            }
             return;
-        _delayInterp.push_back(
-            {cycle + _config.ropLatency, _earlyIn.pop(cycle)});
-        return;
-    }
-
-    // Cross-batch hazard: an early-tested batch must not access the
-    // Z buffer before the previous *late* batch finished its
-    // accesses.
-    if (head->marker == MarkerKind::None && !head->lateZPath) {
+        }
+        // Cross-batch hazard: an early-tested batch must not access
+        // the Z buffer before the previous *late* batch finished its
+        // accesses.
         if (_gateBatch != ~0u && !_lateDone.count(_gateBatch))
             return;
     }
-
-    QuadObjPtr quad = _earlyIn.front();
-
-    if (quad->lateZPath) {
-        // Late-Z batch: pass through untested.
-        if (!_toInterp.canSend(cycle))
-            return;
-        _toInterp.send(cycle, _earlyIn.pop(cycle));
-        _statQuads.inc();
-        return;
-    }
-
-    if (_delayInterp.size() >= 8)
-        return; // Output pipeline full.
-    if (!zAccess(cycle, *quad, false))
-        return; // Cache miss; retry.
-    _earlyIn.pop(cycle);
-    _statQuads.inc();
-
-    const bool alive = quad->coverage[0] || quad->coverage[1] ||
-                       quad->coverage[2] || quad->coverage[3];
-    if (!alive)
-        return; // Fully culled quads leave the pipeline here.
-    _delayInterp.push_back({cycle + _config.ropLatency, quad});
+    advance(cycle, _earlyIn, _delayInterp, false);
 }
 
 void
@@ -327,57 +197,52 @@ ZStencilTest::processLate(Cycle cycle)
 {
     if (_lateIn.empty())
         return;
-    const QuadObjPtr& head = _lateIn.front();
+    const bool batchEnd = _lateIn.front()->marker == MarkerKind::BatchEnd;
+    const u32 batch = _lateIn.front()->batchId;
+    if (advance(cycle, _lateIn, _delayRopc, true) && batchEnd)
+        _lateDone.insert(batch);
+}
 
-    if (head->isMarker()) {
-        if (_delayRopc.size() >= 8)
-            return;
-        auto marker = _lateIn.pop(cycle);
-        if (marker->marker == MarkerKind::BatchEnd)
-            _lateDone.insert(marker->batchId);
-        _delayRopc.push_back({cycle + _config.ropLatency, marker});
-        return;
-    }
-
-    QuadObjPtr quad = _lateIn.front();
-    if (_delayRopc.size() >= 8)
-        return;
-    if (!zAccess(cycle, *quad, true))
-        return;
-    _lateIn.pop(cycle);
-    _statQuads.inc();
-
-    const bool alive = quad->coverage[0] || quad->coverage[1] ||
-                       quad->coverage[2] || quad->coverage[3];
-    if (!alive)
-        return;
-    _delayRopc.push_back({cycle + _config.ropLatency, quad});
+bool
+ZStencilTest::advance(Cycle cycle, LinkRx<QuadObj>& in,
+                      sim::RingQueue<Delayed>& out, bool shaded)
+{
+    if (out.size() >= 8)
+        return false; // Output pipeline full.
+    QuadObjPtr quad = in.front();
+    const bool marker = quad->isMarker();
+    if (!marker && !zAccess(cycle, *quad, shaded))
+        return false; // Cache miss; retry.
+    in.pop(cycle);
+    if (!marker)
+        _statQuads.inc();
+    // Fully culled quads leave the pipeline here.
+    if (marker || quad->coverage[0] || quad->coverage[1] ||
+        quad->coverage[2] || quad->coverage[3])
+        out.push_back({cycle + _config.ropLatency, std::move(quad)});
+    return true;
 }
 
 void
 ZStencilTest::drainOutputs(Cycle cycle)
 {
-    while (!_delayInterp.empty() &&
-           _delayInterp.front().readyAt <= cycle &&
-           _toInterp.canSend(cycle)) {
-        _toInterp.send(cycle,
-                       std::move(_delayInterp.front().quad));
-        _delayInterp.pop_front();
-    }
-    while (!_delayRopc.empty() &&
-           _delayRopc.front().readyAt <= cycle &&
-           _toRopc.canSend(cycle)) {
-        _toRopc.send(cycle, std::move(_delayRopc.front().quad));
-        _delayRopc.pop_front();
+    for (auto [delay, tx] : {std::pair{&_delayInterp, &_toInterp},
+                             std::pair{&_delayRopc, &_toRopc}}) {
+        while (!delay->empty() && delay->front().readyAt <= cycle &&
+               tx->canSend(cycle)) {
+            tx->send(cycle, std::move(delay->front().quad));
+            delay->pop_front();
+        }
     }
 }
 
 void
 ZStencilTest::sendHzUpdates(Cycle cycle)
 {
-    while (!_hzQueue.empty() && _hzUpdates.canSend(cycle)) {
-        _hzUpdates.send(cycle, std::move(_hzQueue.front()));
-        _hzQueue.pop_front();
+    auto& queue = _backing.hzUpdates;
+    while (!queue.empty() && _hzUpdates.canSend(cycle)) {
+        _hzUpdates.send(cycle, std::move(queue.front()));
+        queue.pop_front();
     }
 }
 
@@ -389,12 +254,15 @@ ZStencilTest::update(Cycle cycle)
     _toInterp.clock(cycle);
     _toRopc.clock(cycle);
     _hzUpdates.clock(cycle);
-    _ctrl.clock(cycle);
-    _ack.clock(cycle);
-    _mem.clock(cycle);
 
-    processControl(cycle);
-    if (_ctrlPhase == CtrlPhase::None) {
+    const RopStep step = _surface.update(cycle);
+    if (step == RopStep::ClearStarted) {
+        // Late batches completed before a barrier can be forgotten.
+        _lateDone.clear();
+        _prevWasLate = false;
+        _gateBatch = ~0u;
+    }
+    if (step == RopStep::Run) {
         const u64 quadsBefore = _statQuads.liveTotal();
         drainOutputs(cycle);
         processLate(cycle);
@@ -414,7 +282,7 @@ ZStencilTest::update(Cycle cycle)
         }
         if (_statQuads.liveTotal() != quadsBefore)
             _statBusy.inc();
-        _cache.clock(cycle, _mem, MemClient::ZCache);
+        _surface.clockCache(cycle);
     }
     sendHzUpdates(cycle);
     _statQuads.commit();
@@ -428,8 +296,7 @@ ZStencilTest::empty() const
 {
     return _earlyIn.empty() && _lateIn.empty() &&
            _delayInterp.empty() && _delayRopc.empty() &&
-           _hzQueue.empty() && _ctrl.empty() &&
-           _ctrlPhase == CtrlPhase::None && _cache.idle();
+           _backing.hzUpdates.empty() && _surface.idle();
 }
 
 } // namespace attila::gpu

@@ -25,43 +25,31 @@
 
 #include "emu/memory.hh"
 #include "emu/z_compressor.hh"
-#include "gpu/cache.hh"
-#include "gpu/framebuffer.hh"
-#include "gpu/gpu_config.hh"
-#include "gpu/link.hh"
+#include "gpu/rop_surface.hh"
 #include "sim/box.hh"
-#include "sim/function_ref.hh"
 #include "sim/object_pool.hh"
 #include "sim/ring_queue.hh"
 
 namespace attila::gpu
 {
 
-/** Line backing implementing Z compression and fast clear. */
-class ZStencilBacking : public LineBacking
+/** The Z/stencil surface's backing: Z compression (1:2 / 1:4) on
+ * writeback, whose exact tile maximum refines the Hierarchical Z
+ * buffer. */
+class ZStencilBacking : public RopBacking
 {
   public:
-    BlockStateTable table;
-    u32 bufferBase = 0;
-    u32 clearWord = 0;
-    bool compressionEnabled = true;
-    /** Called with (tileIndex, maxDepth in [0,1]) on writeback.
-     * Non-owning: bind a named functor or member that outlives the
-     * backing, never a temporary lambda. */
-    sim::FunctionRef<void(u32, f32)> hzHook;
+    /** One update (tile index, maximum depth in [0,1]) per
+     * writeback, waiting to be sent to the Hierarchical Z box. */
+    sim::RingQueue<std::shared_ptr<HzUpdateObj>> hzUpdates;
 
-    u32
-    blockOf(u32 lineAddr) const
-    {
-        return (lineAddr - bufferBase) / fbTileBytes;
-    }
-
-    u32 fillSize(u32 lineAddr) override;
     void fillFromMemory(u32 lineAddr, const u8* memBytes, u32 size,
-                        u8* lineOut) override;
-    void fillLocal(u32 lineAddr, u8* lineOut) override;
+                        u8* lineOut) const override;
     u32 writeback(u32 lineAddr, const u8* lineData,
                   u8* out) override;
+
+  private:
+    sim::ObjectPool<HzUpdateObj> _hzPool;
 };
 
 /** The Z and Stencil Test box. */
@@ -85,50 +73,11 @@ class ZStencilTest : public sim::Box
     void
     attachEventTrace(sim::EventTrace& trace) override
     {
-        _cache.setEventTrace(&trace, trace.registerCache(name()));
+        _surface.cache().setEventTrace(&trace,
+                                       trace.registerCache(name()));
     }
 
   private:
-    enum class CtrlPhase : u8 { None, Clearing, Flushing };
-
-    void processControl(Cycle cycle);
-    void processEarly(Cycle cycle);
-    void processLate(Cycle cycle);
-    /** Run the z/stencil test on @p quad.  Returns false when the
-     * access must be retried (cache miss / blocked). */
-    bool zAccess(Cycle cycle, QuadObj& quad, bool shaded);
-    void drainOutputs(Cycle cycle);
-    void sendHzUpdates(Cycle cycle);
-
-    const GpuConfig& _config;
-    const u32 _unit;
-    emu::GpuMemory& _memory; ///< For slow (non-fast) clears only.
-
-    LinkRx<QuadObj> _earlyIn;
-    LinkRx<QuadObj> _lateIn;
-    LinkTx _toInterp;
-    LinkTx _toRopc;
-    LinkTx _hzUpdates;
-    LinkRx<ControlObj> _ctrl;
-    LinkTx _ack;
-    MemPort _mem;
-
-    ZStencilBacking _backing;
-    FbCache _cache;
-
-    CtrlPhase _ctrlPhase = CtrlPhase::None;
-    Cycle _ctrlDoneAt = 0;
-    ControlKind _ctrlKind = ControlKind::Flush;
-
-    /** Cross-batch ordering: set when a late batch's z accesses are
-     * complete (its BatchEnd popped on the late input). */
-    std::set<u32> _lateDone;
-    bool _prevWasLate = false; ///< Previous batch used late Z.
-    u32 _prevBatchId = 0;
-    /** Batch id whose late accesses gate the current early batch
-     * (~0u = no gate). */
-    u32 _gateBatch = ~0u;
-
     /** Output delay pipelines (ROP latency).  The early (to the
      *  Interpolator) and late (to Color Write) outputs are
      *  independent: sharing one queue would deadlock the pipeline
@@ -139,19 +88,43 @@ class ZStencilTest : public sim::Box
         Cycle readyAt;
         WorkObjectPtr quad; ///< Quad or batch marker.
     };
+
+    void processEarly(Cycle cycle);
+    void processLate(Cycle cycle);
+    /** Move the head of @p in into the delay pipeline @p out: a
+     * marker as it is (markers share the pipeline, so they never
+     * overtake work of their batch), a quad once Z-tested.  False
+     * when it must wait. */
+    bool advance(Cycle cycle, LinkRx<QuadObj>& in,
+                 sim::RingQueue<Delayed>& out, bool shaded);
+    /** Run the z/stencil test on @p quad.  Returns false when the
+     * access must be retried (cache miss / blocked). */
+    bool zAccess(Cycle cycle, QuadObj& quad, bool shaded);
+    void drainOutputs(Cycle cycle);
+    void sendHzUpdates(Cycle cycle);
+
+    const GpuConfig& _config;
+
+    LinkRx<QuadObj> _earlyIn;
+    LinkRx<QuadObj> _lateIn;
+    LinkTx _toInterp;
+    LinkTx _toRopc;
+    LinkTx _hzUpdates;
+
+    ZStencilBacking _backing;
+    RopSurface _surface;
+
+    /** Cross-batch ordering: set when a late batch's z accesses are
+     * complete (its BatchEnd popped on the late input). */
+    std::set<u32> _lateDone;
+    bool _prevWasLate = false; ///< Previous batch used late Z.
+    u32 _prevBatchId = 0;
+    /** Batch id whose late accesses gate the current early batch
+     * (~0u = no gate). */
+    u32 _gateBatch = ~0u;
+
     sim::RingQueue<Delayed> _delayInterp;
     sim::RingQueue<Delayed> _delayRopc;
-    sim::RingQueue<std::shared_ptr<HzUpdateObj>> _hzQueue;
-    sim::ObjectPool<HzUpdateObj> _hzPool;
-
-    /** Persistent callable behind _backing.hzHook (the hook is a
-     * non-owning FunctionRef, so it must reference a member). */
-    struct HzEnqueue
-    {
-        ZStencilTest* owner;
-        void operator()(u32 tileIndex, f32 maxZ) const;
-    };
-    HzEnqueue _hzEnqueue{this};
 
     sim::BatchedStat _statQuads;
     sim::BatchedStat _statFragsTested;

@@ -2,7 +2,7 @@
  * @file
  * FunctionRef: a non-owning, trivially copyable reference to a
  * callable — the hot-path replacement for std::function members and
- * parameters (ImmediateSampler, TileVisitor, hzHook).
+ * parameters (ImmediateSampler, QuadSampler, TileVisitor).
  *
  * A FunctionRef is two words: an opaque context pointer and a plain
  * function pointer that casts the context back and invokes it.

@@ -4,10 +4,12 @@
  * driven through a harness box.
  */
 
+#include <array>
 #include <cstring>
 #include <gtest/gtest.h>
 
 #include "gpu/cache.hh"
+#include "gpu/color_write.hh"
 #include "gpu/z_stencil_test.hh"
 #include "gpu/memory_controller.hh"
 #include "sim/simulator.hh"
@@ -322,7 +324,7 @@ TEST(FbCache, ClearedBlockBackingNeedsNoMemory)
     ZStencilBacking backing;
     backing.bufferBase = 0;
     backing.clearWord = emu::packDepthStencil(12345, 7);
-    backing.table.reset(64, BlockState::Cleared);
+    backing.blocks.assign(64, BlockState::Cleared);
     FbCache cache("zc", FbCache::Config{16, 4, 256, 4, 4},
                   h.sim.stats().get("zc", "hits"),
                   h.sim.stats().get("zc", "misses"), &backing);
@@ -351,12 +353,8 @@ TEST(FbCache, CompressedWritebackShrinksTraffic)
     ZStencilBacking backing;
     backing.bufferBase = 0;
     backing.clearWord = emu::packDepthStencil(1000, 0);
-    backing.table.reset(64, BlockState::Cleared);
+    backing.blocks.assign(64, BlockState::Cleared);
     backing.compressionEnabled = true;
-    f32 hzMax = -1.0f;
-    auto onHz = [&](u32, f32 z) { hzMax = z; };
-    backing.hzHook = onHz; // Non-owning: the lambda is named so it
-                           // outlives the writebacks below.
 
     FbCache cache("zc", FbCache::Config{16, 4, 256, 4, 4},
                   h.sim.stats().get("zc", "hits"),
@@ -382,9 +380,67 @@ TEST(FbCache, CompressedWritebackShrinksTraffic)
     ASSERT_TRUE(flushed);
     // 64 bytes written, not 256.
     EXPECT_EQ(h.mc->totalBytes(), 64u);
-    EXPECT_EQ(backing.table.get(0), BlockState::CompQuarter);
-    EXPECT_NEAR(hzMax,
+    EXPECT_EQ(backing.stateOf(0), BlockState::CompQuarter);
+    ASSERT_EQ(backing.hzUpdates.size(), 1u);
+    EXPECT_EQ(backing.hzUpdates.front()->tileIndex, 0u);
+    EXPECT_NEAR(backing.hzUpdates.front()->maxZ,
                 1000.0f / emu::maxDepthValue, 1e-6);
+}
+
+TEST(FbCache, ColorTileDecodesAlikeInEveryBlockState)
+{
+    // One uniform colour tile stored three ways: fast-cleared (no
+    // memory backing), written back at 1:4 (one stored word) and
+    // uncompressed.  The colour cache's fill and the DAC's
+    // resolveTile() share the backing's fill path; every state must
+    // decode to the same 64 words through both.
+    McHarness h;
+    const u32 base = 0x1000;
+    const u32 colour = 0x80402010u;
+    const u32 stale = 0xdeadbeefu;
+    ColorBacking backing;
+    backing.bufferBase = base;
+    backing.clearWord = colour;
+    backing.blocks.assign(3, BlockState::Cleared);
+    backing.blocks[1] = BlockState::CompQuarter;
+    backing.blocks[2] = BlockState::Uncompressed;
+    for (u32 w = 0; w < fbTilePixels; ++w) {
+        h.memory.writeAs<u32>(base + w * 4, stale);
+        h.memory.writeAs<u32>(base + fbTileBytes + w * 4,
+                              w == 0 ? colour : stale);
+        h.memory.writeAs<u32>(base + 2 * fbTileBytes + w * 4, colour);
+    }
+    std::array<u32, fbTilePixels> expected;
+    expected.fill(colour);
+
+    for (u32 block = 0; block < 3; ++block) {
+        std::array<u32, fbTilePixels> tile{};
+        backing.resolveTile(base + block * fbTileBytes, h.memory,
+                            reinterpret_cast<u8*>(tile.data()));
+        EXPECT_EQ(tile, expected) << "resolved block " << block;
+    }
+
+    FbCache cache("cc", FbCache::Config{16, 4, fbTileBytes, 4, 4},
+                  h.sim.stats().get("cc", "hits"),
+                  h.sim.stats().get("cc", "misses"), &backing);
+    u32 block = 0;
+    h.client->tick = [&](Cycle cycle) {
+        cache.clock(cycle, h.client->mem, MemClient::ColorCache);
+        const u32 lineAddr = base + block * fbTileBytes;
+        if (block < 3 && cache.access(cycle, lineAddr, false) ==
+                             CacheAccess::Hit) {
+            std::array<u32, fbTilePixels> line;
+            std::memcpy(line.data(), cache.wordPtr(lineAddr),
+                        fbTileBytes);
+            EXPECT_EQ(line, expected) << "cached block " << block;
+            ++block;
+        }
+    };
+    for (u32 i = 0; i < 400 && block < 3; ++i)
+        h.sim.step();
+    EXPECT_EQ(block, 3u);
+    // Only the 1:4 word block and the uncompressed tile are fetched.
+    EXPECT_EQ(h.mc->totalBytes(), fbTileBytes / 4 + fbTileBytes);
 }
 
 TEST(FbCache, MaxOutstandingSaturationBlocks)

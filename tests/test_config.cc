@@ -233,8 +233,7 @@ TEST(GpuConfigText, ZeroQueueSizesAreRejectedWithKeyAndOrigin)
         "texture.requestQueue",
         "shader.units", "shader.vertexUnits", "shader.vertexThreads",
         "shader.fetchRate", "texture.units", "texture.cacheLine",
-        "texture.cachePorts", "rop.units", "rop.zCacheLine",
-        "rop.colorCacheLine", "geometry.genTileSize",
+        "texture.cachePorts", "rop.units", "geometry.genTileSize",
         "hz.tilesPerCycle", "memory.channels", "memory.bytesPerCycle",
         "memory.burstBytes", "memory.interleave", "memory.pageBytes",
         "memory.systemBusBytesPerCycle",
@@ -250,9 +249,6 @@ TEST(GpuConfigText, ZeroQueueSizesAreRejectedWithKeyAndOrigin)
     const std::map<std::string, u32> least = {
         // Even, so no quad straddles two framebuffer tiles.
         {"geometry.genTileSize", 2},
-        // One line holds one framebuffer tile.
-        {"rop.zCacheLine", 256},
-        {"rop.colorCacheLine", 256},
         // One credit per stream the Streamer fetches in a cycle.
         {"memory.requestQueue", 8},
     };
@@ -386,6 +382,7 @@ TEST(GpuConfigText, RetiredKeysAreUnknownWithLocation)
         "clock.displayMHz",      "shader.inputsPerCycle",
         "rop.fragmentsPerCycle", "texture.cacheGeometry",
         "rop.zCacheGeometry",    "rop.colorCacheGeometry",
+        "rop.zCacheLine",        "rop.colorCacheLine",
     };
     for (const std::string& key : retired) {
         const std::size_t dot = key.find('.');
