@@ -56,7 +56,7 @@ FbCache::FbCache(std::string name, const Config& config,
 }
 
 s32
-FbCache::findLine(u32 lineAddr)
+FbCache::findLine(u32 lineAddr) const
 {
     const u32 base = setOf(lineAddr) * _config.ways;
     for (u32 w = 0; w < _config.ways; ++w) {
@@ -70,7 +70,7 @@ FbCache::findLine(u32 lineAddr)
 }
 
 s32
-FbCache::pickVictim(u32 set)
+FbCache::pickVictim(u32 set) const
 {
     s32 best = -1;
     u64 bestUse = ~0ull;
@@ -267,16 +267,7 @@ FbCache::clock(Cycle cycle, MemPort& port, MemClient client)
     // is still outstanding.
     for (u32 i = 0; i < _ordCount; ++i) {
         FillSlot& slot = _slots[_order[(_ordHead + i) & _ordMask]];
-        if (slot.issued)
-            continue;
-        bool conflict = false;
-        for (u32 w = _wbHead; w < _writebacks.size(); ++w) {
-            if (!_writebacks[w].done &&
-                _writebacks[w].addr == slot.addr) {
-                conflict = true;
-            }
-        }
-        if (conflict)
+        if (slot.issued || writebackPending(slot.addr))
             continue;
         if (!port.canRequest(cycle))
             break;
@@ -407,6 +398,47 @@ bool
 FbCache::idle() const
 {
     return _ordCount == 0 && _wbLive == 0;
+}
+
+bool
+FbCache::writebackPending(u32 lineAddr) const
+{
+    for (u32 w = _wbHead; w < _writebacks.size(); ++w) {
+        if (!_writebacks[w].done && _writebacks[w].addr == lineAddr)
+            return true;
+    }
+    return false;
+}
+
+bool
+FbCache::accessWouldProgress(u32 addr) const
+{
+    const u32 lineAddr = lineAddrOf(addr);
+    const s32 idx = findLine(lineAddr);
+    if (idx >= 0)
+        return _state[idx] != LineState::Filling;
+    return _freeSlots != 0 && pickVictim(setOf(lineAddr)) >= 0;
+}
+
+bool
+FbCache::clockWouldProgress(const MemPort& port) const
+{
+    const bool credit = port.requestCredits() > 0;
+    for (u32 i = 0; i < _ordCount; ++i) {
+        const FillSlot& slot = _slots[_order[(_ordHead + i) & _ordMask]];
+        if (slot.issued)
+            continue;
+        if (slot.localOnly ||
+            (credit && !writebackPending(slot.addr)))
+            return true;
+    }
+    if (!credit)
+        return false;
+    for (u32 i = _wbHead; i < _writebacks.size(); ++i) {
+        if (!_writebacks[i].issued && !_writebacks[i].done)
+            return true;
+    }
+    return false;
 }
 
 void

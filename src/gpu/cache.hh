@@ -120,6 +120,21 @@ class FbCache
     /** True when no fills or writebacks are in flight. */
     bool idle() const;
 
+    /**
+     * True when access(@p addr) in a new cycle would change the
+     * cache: a hit, or a miss that starts a fill.  False when it
+     * would only wait, on a fill under way or for a free MSHR or
+     * victim; a fill response or a writeback ack ends the wait.
+     */
+    bool accessWouldProgress(u32 addr) const;
+
+    /**
+     * True when clock() could change the cache without a memory
+     * response: a local fill to complete, or an unissued writeback
+     * or fill with a request credit on @p port to issue it.
+     */
+    bool clockWouldProgress(const MemPort& port) const;
+
     u32 lineBytes() const { return _config.lineBytes; }
     u32 lineCount() const { return _lineCount; }
     u32 ways() const { return _config.ways; }
@@ -191,8 +206,10 @@ class FbCache
     }
 
     /** Tag walk: resident (non-Invalid) line index or -1. */
-    s32 findLine(u32 lineAddr);
-    s32 pickVictim(u32 set);
+    s32 findLine(u32 lineAddr) const;
+    s32 pickVictim(u32 set) const;
+    /** A writeback of @p lineAddr is still in flight. */
+    bool writebackPending(u32 lineAddr) const;
     void queueWriteback(Cycle unusedCycle, u32 lineIndex);
     u8 allocFillSlot();
     void removeFillAt(u32 orderPos);

@@ -90,42 +90,31 @@ Dac::assembleFrame(const RenderState& state)
 }
 
 void
-Dac::update(Cycle cycle)
+Dac::dumpStep(Cycle cycle)
 {
-    _ctrl.clock(cycle);
-    _ack.clock(cycle);
-    _mem.clock(cycle);
-
-    // Drain timing reads.
-    while (_mem.hasResponse()) {
-        _mem.popResponse(cycle);
-        --_tilesLeft;
+    _statBusy.inc();
+    // Issue tile reads (refresh bandwidth).
+    while (_nextTile < _totalTiles && _mem.canRequest(cycle)) {
+        auto txn = _txns.acquire();
+        txn->isRead = true;
+        txn->address = _bufferBase + _nextTile * fbTileBytes;
+        txn->size = fbTileBytes;
+        txn->client = MemClient::Dac;
+        _mem.request(cycle, txn);
+        ++_nextTile;
     }
-
-    if (_dumping) {
-        _statBusy.inc();
-        // Issue tile reads (refresh bandwidth).
-        while (_nextTile < _totalTiles && _mem.canRequest(cycle)) {
-            auto txn = _txns.acquire();
-            txn->isRead = true;
-            txn->address = _bufferBase + _nextTile * fbTileBytes;
-            txn->size = fbTileBytes;
-            txn->client = MemClient::Dac;
-            _mem.request(cycle, txn);
-            ++_nextTile;
-        }
-        if (_tilesLeft == 0 && _nextTile >= _totalTiles &&
-            _ack.canSend(cycle)) {
-            auto ack = std::make_shared<AckObj>();
-            ack->kind = ControlKind::DumpFrame;
-            _ack.send(cycle, ack);
-            _dumping = false;
-        }
-        return;
+    if (_tilesLeft == 0 && _nextTile >= _totalTiles &&
+        _ack.canSend(cycle)) {
+        auto ack = std::make_shared<AckObj>();
+        ack->kind = ControlKind::DumpFrame;
+        _ack.send(cycle, ack);
+        _dumping = false;
     }
+}
 
-    if (_ctrl.empty())
-        return;
+void
+Dac::startDump(Cycle cycle)
+{
     ControlObjPtr ctrl = _ctrl.pop(cycle);
     if (ctrl->kind != ControlKind::DumpFrame)
         panic("DAC: unexpected control message");
@@ -138,6 +127,38 @@ Dac::update(Cycle cycle)
     _tilesLeft = _totalTiles;
     _nextTile = 0;
     _dumping = true;
+}
+
+void
+Dac::update(Cycle cycle)
+{
+    _statBusy.tickFrom(cycle, 0);
+    _ctrl.clock(cycle);
+    _ack.clock(cycle);
+    _mem.clock(cycle);
+
+    // Drain timing reads.
+    while (_mem.hasResponse()) {
+        _mem.popResponse(cycle);
+        --_tilesLeft;
+    }
+
+    if (_dumping)
+        dumpStep(cycle);
+    else if (!_ctrl.empty())
+        startDump(cycle);
+    // A dump waiting on its reads counts a busy cycle per cycle.
+    _statBusy.tickFrom(cycle + 1, _dumping);
+}
+
+bool
+Dac::busy() const
+{
+    if (!_dumping)
+        return !_ctrl.empty();
+    if (_nextTile < _totalTiles)
+        return _mem.requestCredits() > 0;
+    return _tilesLeft == 0 && _ack.credits() > 0;
 }
 
 bool

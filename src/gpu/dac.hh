@@ -57,9 +57,9 @@ class Dac : public sim::Box
 
     void update(Cycle cycle) override;
     bool empty() const override;
-    /** Idle == drained: update() is a no-op whenever the unit holds
-     * no work and its inputs are quiet. */
-    bool busy() const override { return !empty(); }
+    /** A dump step can move: a tile read with a request credit, or
+     * the final ack with an ack credit. */
+    bool busy() const override;
 
     const std::vector<FrameImage>& frames() const { return _frames; }
 
@@ -68,6 +68,10 @@ class Dac : public sim::Box
 
   private:
     void assembleFrame(const RenderState& state);
+    /** Issue tile reads; ack once every read is back. */
+    void dumpStep(Cycle cycle);
+    /** Start the dump a DumpFrame message asks for. */
+    void startDump(Cycle cycle);
 
     LinkRx<ControlObj> _ctrl;
     LinkTx _ack;

@@ -132,6 +132,15 @@ FragmentGenerator::update(Cycle cycle)
 }
 
 bool
+FragmentGenerator::busy() const
+{
+    if (_current)
+        return _out.credits() > 0;
+    return !_in.empty() &&
+           (!_in.front()->isMarker() || _out.credits() > 0);
+}
+
+bool
 FragmentGenerator::empty() const
 {
     return _in.empty() && !_current;

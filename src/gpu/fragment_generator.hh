@@ -33,9 +33,9 @@ class FragmentGenerator : public sim::Box
 
     void update(Cycle cycle) override;
     bool empty() const override;
-    /** Idle == drained: update() is a no-op whenever the unit holds
-     * no work and its inputs are quiet. */
-    bool busy() const override { return !empty(); }
+    /** Tiles (and batch markers) move only with an output credit; a
+     * queued triangle starts without one. */
+    bool busy() const override;
 
   private:
     void startTriangle(Cycle cycle);

@@ -38,6 +38,14 @@ HierarchicalZ::ropOf(u32 tileIndex) const
     return tileIndex % _config.numRops;
 }
 
+u32
+HierarchicalZ::ropOf(const QuadObj& quad) const
+{
+    return ropOf(fbTileIndex(quad.state->width,
+                             static_cast<u32>(quad.x0),
+                             static_cast<u32>(quad.y0)));
+}
+
 void
 HierarchicalZ::processControl(Cycle cycle)
 {
@@ -126,12 +134,7 @@ HierarchicalZ::splitTile(Cycle cycle, const TileObjPtr& tile)
     }
 
     while (!_pendingQuads.empty()) {
-        const QuadObjPtr& quad = _pendingQuads.front();
-        const RenderState& state = *quad->state;
-        const u32 tileIndex = fbTileIndex(
-            state.width, static_cast<u32>(quad->x0),
-            static_cast<u32>(quad->y0));
-        LinkTx& out = *_toRopz[ropOf(tileIndex)];
+        LinkTx& out = *_toRopz[ropOf(*_pendingQuads.front())];
         if (!out.canSend(cycle))
             return false;
         out.send(cycle, std::move(_pendingQuads.front()));
@@ -195,6 +198,7 @@ HierarchicalZ::processTiles(Cycle cycle)
 void
 HierarchicalZ::update(Cycle cycle)
 {
+    _statBusy.tickFrom(cycle, 0);
     _in.clock(cycle);
     for (auto& out : _toRopz)
         out->clock(cycle);
@@ -206,10 +210,33 @@ HierarchicalZ::update(Cycle cycle)
     processControl(cycle);
     processUpdates(cycle);
     processTiles(cycle);
+    // A blocked quad or marker counts a busy cycle per cycle.
+    _statBusy.tickFrom(cycle + 1,
+                       !_pendingQuads.empty() || !_in.empty());
     _statTiles.commit();
     _statCulled.commit();
     _statQuads.commit();
     _statBusy.commit();
+}
+
+bool
+HierarchicalZ::busy() const
+{
+    if (!_ctrl.empty() &&
+        (_ctrl.front()->kind != ControlKind::ClearZStencil ||
+         _ack.credits() > 0))
+        return true;
+    if (!_pendingQuads.empty())
+        return _toRopz[ropOf(*_pendingQuads.front())]->credits() > 0;
+    if (_in.empty())
+        return false;
+    if (!_in.front()->isMarker())
+        return true;
+    for (const auto& out : _toRopz) {
+        if (out->credits() == 0)
+            return false;
+    }
+    return true;
 }
 
 bool

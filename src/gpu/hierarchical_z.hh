@@ -41,9 +41,9 @@ class HierarchicalZ : public sim::Box
 
     void update(Cycle cycle) override;
     bool empty() const override;
-    /** Idle == drained: update() is a no-op whenever the unit holds
-     * no work and its inputs are quiet. */
-    bool busy() const override { return !empty(); }
+    /** A control message, a quad or a tile can move: a clear ack, a
+     * quad and a marker broadcast wait for their credits. */
+    bool busy() const override;
 
     /** Quantize a depth to the 8-bit HZ scale (round up = far). */
     static u8
@@ -68,6 +68,8 @@ class HierarchicalZ : public sim::Box
     void processTiles(Cycle cycle);
     bool splitTile(Cycle cycle, const TileObjPtr& tile);
     u32 ropOf(u32 tileIndex) const;
+    /** The ROPz unit @p quad goes to. */
+    u32 ropOf(const QuadObj& quad) const;
 
     const GpuConfig& _config;
     LinkRx<TileObj> _in;

@@ -86,15 +86,7 @@ Interpolator::acceptQuads(Cycle cycle)
         if (head->isMarker()) {
             // Collect one marker copy from every ROPz stream, then
             // forward a single marker.
-            u32 ready = 0;
-            for (auto& other : _in) {
-                if (!other->empty() && other->front()->isMarker() &&
-                    other->front()->batchId == head->batchId &&
-                    other->front()->marker == head->marker) {
-                    ++ready;
-                }
-            }
-            if (ready < n ||
+            if (!markerComplete(*head) ||
                 _delay.size() >= 2 * _config.fragmentFifoQueue) {
                 _rrNext = (_rrNext + 1) % n;
                 ++scanned;
@@ -140,6 +132,19 @@ Interpolator::acceptQuads(Cycle cycle)
     }
 }
 
+bool
+Interpolator::markerComplete(const WorkObject& marker) const
+{
+    for (const auto& other : _in) {
+        if (other->empty() || !other->front()->isMarker() ||
+            other->front()->batchId != marker.batchId ||
+            other->front()->marker != marker.marker) {
+            return false;
+        }
+    }
+    return true;
+}
+
 void
 Interpolator::drain(Cycle cycle)
 {
@@ -163,6 +168,22 @@ Interpolator::update(Cycle cycle)
 
     drain(cycle);
     acceptQuads(cycle);
+    if (!_delay.empty() && _out.credits() > 0)
+        wakeAt(_delay.front().readyAt);
+}
+
+bool
+Interpolator::busy() const
+{
+    // acceptQuads() scans every input, so any head that fits moves.
+    if (_delay.size() >= 2 * _config.fragmentFifoQueue)
+        return false;
+    for (const auto& rx : _in) {
+        if (!rx->empty() &&
+            (!rx->front()->isMarker() || markerComplete(*rx->front())))
+            return true;
+    }
+    return false;
 }
 
 bool

@@ -33,10 +33,9 @@ class Interpolator : public sim::Box
 
     void update(Cycle cycle) override;
     bool empty() const override;
-    /** Idle == drained: update() is a no-op whenever the unit holds
-     * no work and its inputs are quiet (the delay pipeline counts
-     * as held work). */
-    bool busy() const override { return !empty(); }
+    /** An input head can enter the delay pipeline.  Its head leaves
+     * on a wake at its ready cycle, or on a returned credit. */
+    bool busy() const override;
 
     /** Interpolate the inputs of @p quad in place (also used by unit
      * tests). */
@@ -44,6 +43,8 @@ class Interpolator : public sim::Box
 
   private:
     void acceptQuads(Cycle cycle);
+    /** Every ROPz stream's head is @p marker's copy. */
+    bool markerComplete(const WorkObject& marker) const;
     void drain(Cycle cycle);
 
     const GpuConfig& _config;

@@ -126,6 +126,38 @@ class RopSurface
     }
 
     FbCache& cache() { return _cache; }
+    const FbCache& cache() const { return _cache; }
+
+    /** The control phase can change state without a new input: a
+     * queued control message to take, or a flush under way.  A
+     * clear ends on clearDoneAt(). */
+    bool
+    busy() const
+    {
+        return _phase == Phase::Flushing ||
+               (_phase == Phase::None && !_ctrl.empty());
+    }
+
+    /** No clear or flush holds the unit: its update runs quads. */
+    bool running() const { return _phase == Phase::None; }
+
+    /** The cycle a clear under way can finish and ack, or NoWake
+     * (no clear, or its ack waits for a credit, which arrives as an
+     * input). */
+    Cycle
+    clearDoneAt() const
+    {
+        return _phase == Phase::Clearing && _ack.credits() > 0
+                   ? _doneAt
+                   : sim::Box::NoWake;
+    }
+
+    /** clockCache() has fills or writebacks to move. */
+    bool
+    cacheWouldProgress() const
+    {
+        return _cache.clockWouldProgress(_mem);
+    }
 
     /** No control message queued or under way and no cache traffic
      * in flight. */

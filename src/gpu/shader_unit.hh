@@ -60,9 +60,11 @@ class ShaderUnit : public sim::Box
 
     void update(Cycle cycle) override;
     bool empty() const override;
-    /** Idle == drained: update() is a no-op whenever the unit holds
-     * no threads and no queued inputs. */
-    bool busy() const override { return !empty(); }
+    /** Set by each update: a finished thread with a result credit,
+     * or a ready thread whose next instruction can execute.  A
+     * thread waits for its source temps on a wake; texture results
+     * and credits arrive as inputs. */
+    bool busy() const override { return _busy; }
 
     /** Wire thread-slot lifecycle events (shader unit name = box
      * name, matching the .threads statistic). */
@@ -113,6 +115,10 @@ class ShaderUnit : public sim::Box
     bool sendResult(Cycle cycle, Thread& thread);
     bool dependenciesReady(u32 slot, Cycle cycle);
     void refreshDeps(const Thread& thread, ThreadSched& sched) const;
+    /** Set busy(), the wake for the next source temp and the ticks a
+     * blocked update would count, from the state @p cycle's update
+     * leaves. */
+    void prepareSleep(Cycle cycle);
 
     const GpuConfig& _config;
     const u32 _unit;
@@ -136,8 +142,14 @@ class ShaderUnit : public sim::Box
     std::vector<u32> _freeThreads;
     std::vector<u32> _activeSlots;
     sim::ObjectPool<TexRequest> _texPool;
+    /** Thread-window round robin: advances once per cycle while the
+     * unit holds threads, clocked or asleep. */
     u32 _rrNext = 0;
     u32 _tuNext = 0;
+    /** The last cycle update() ran (to advance _rrNext over sleeping
+     * cycles). */
+    Cycle _lastUpdate = 0;
+    bool _busy = false;
 
     sim::Statistic& _statInstructions;
     sim::Statistic& _statThreads;

@@ -26,9 +26,12 @@ class TriangleSetup : public sim::Box
 
     void update(Cycle cycle) override;
     bool empty() const override;
-    /** Idle == drained: update() is a no-op whenever the unit holds
-     * no work and its inputs are quiet. */
-    bool busy() const override { return !empty(); }
+    /** A queued triangle moves only with an output credit. */
+    bool
+    busy() const override
+    {
+        return !_in.empty() && _out.credits() > 0;
+    }
 
   private:
     LinkRx<TriangleObj> _in;

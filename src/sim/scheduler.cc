@@ -219,6 +219,45 @@ buildPlan(Plan& plan, const std::vector<Box*>& boxes, u32 threads,
 
 } // namespace
 
+void
+Scheduler::checkAsleep(Box& box, Cycle cycle)
+{
+    // A skipped cycle counts every ticking statistic at its rate, so
+    // compare each statistic as it stands through this cycle, and its
+    // rate for the cycles after.  A box whose wake is due next cycle
+    // is clocked then anyway: what its update sets up for that cycle
+    // on (the rate, busy()) is its own business.
+    const std::vector<Statistic*>& stats = box.ownStatistics();
+    std::vector<std::pair<u64, u64>> before;
+    before.reserve(stats.size());
+    for (const Statistic* s : stats)
+        before.emplace_back(s->totalBefore(cycle + 1), s->tickRate());
+    const Cycle wake = box.nextWake();
+    const bool clockedNext = wake <= cycle + 1;
+
+    box.update(cycle);
+
+    auto fail = [&](const auto&... what) {
+        panic("sleep oracle: box '", box.name(), "' was skipped at cycle ",
+              cycle, " holding work, but its update ", what...);
+    };
+    if (box.hasStagedWrites())
+        fail("staged a signal write");
+    for (std::size_t i = 0; i < stats.size(); ++i) {
+        const Statistic& s = *stats[i];
+        if (s.totalBefore(cycle + 1) != before[i].first ||
+            (!clockedNext && s.tickRate() != before[i].second)) {
+            fail("changed statistic '", s.name(), "' (", before[i].first,
+                 " -> ", s.totalBefore(cycle + 1), ", ticking ",
+                 before[i].second, " -> ", s.tickRate(), " per cycle)");
+        }
+    }
+    if (box.nextWake() < wake)
+        fail("set a wake at cycle ", box.nextWake());
+    if (!clockedNext && box.busy())
+        fail("left it busy()");
+}
+
 /**
  * Shared state between the simulator thread and the worker pool.
  *
@@ -498,7 +537,7 @@ ParallelScheduler::clock(const std::vector<Box*>& boxes, Cycle cycle)
     u32 activeTotal = 0;
     u32 activeParts = 0;
     for (u32 i = 0; i < boxes.size(); ++i) {
-        const bool skip = skipping && boxes[i]->idleAt(cycle);
+        const bool skip = skipping && skips(*boxes[i], cycle);
         boxes[i]->markSkipped(skip);
         if (!skip) {
             Partition& p = plan.parts[plan.partitionOf[i]];

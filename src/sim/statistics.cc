@@ -15,7 +15,7 @@ StatisticManager::get(const std::string& box_name,
     std::lock_guard<std::mutex> lock(_registry);
     auto it = _stats.find(full);
     if (it == _stats.end()) {
-        auto stat = std::make_unique<Statistic>(full);
+        auto stat = std::make_unique<Statistic>(full, &_now);
         // Late-registered statistics must not desynchronize the CSV
         // rows: pad with empty windows already closed.
         for (std::size_t i = 0; i < _sampleCount; ++i)
