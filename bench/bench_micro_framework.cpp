@@ -316,9 +316,11 @@ BM_ZTileCompress(benchmark::State& state)
                 1000000 + x * 977 + y * 311, 0);
         }
     }
+    emu::ZPayload payload;
     for (auto _ : state) {
-        auto result = emu::ZCompressor::compress(tile);
-        benchmark::DoNotOptimize(result);
+        benchmark::DoNotOptimize(
+            emu::ZCompressor::compress(tile, payload));
+        benchmark::DoNotOptimize(payload);
     }
     state.SetItemsProcessed(state.iterations());
 }

@@ -1,5 +1,7 @@
 #include "emu/z_compressor.hh"
 
+#include <algorithm>
+
 #include "emu/fragment_op_emulator.hh"
 #include "sim/logging.hh"
 
@@ -13,30 +15,28 @@ constexpr u32 headerBytes = 13; ///< stencil + d00 + dx + dy.
 constexpr u32 quarterResidualBits = 6;
 constexpr u32 halfResidualBits = 14;
 
-/** Append @p bits low bits of @p value at bit offset @p pos. */
+/** Set the @p bits low bits of @p value at bit offset @p pos of a
+ * zeroed buffer. */
 void
-putBits(std::vector<u8>& buf, u32& pos, u32 value, u32 bits)
+putBits(u8* buf, u32& pos, u32 value, u32 bits)
 {
     for (u32 i = 0; i < bits; ++i) {
-        const u32 byte = (pos + i) / 8;
-        const u32 bit = (pos + i) % 8;
-        if (byte >= buf.size())
-            buf.resize(byte + 1, 0);
         if (value & (1u << i))
-            buf[byte] = static_cast<u8>(buf[byte] | (1u << bit));
+            buf[(pos + i) / 8] |= static_cast<u8>(1u << ((pos + i) % 8));
     }
     pos += bits;
 }
 
-/** Read @p bits bits at offset @p pos, sign-extended. */
+/** Read @p bits bits at offset @p pos of @p size bytes,
+ * sign-extended; bits past the end read as 0. */
 s32
-getBitsSigned(const std::vector<u8>& buf, u32& pos, u32 bits)
+getBitsSigned(const u8* buf, u32 size, u32& pos, u32 bits)
 {
     u32 v = 0;
     for (u32 i = 0; i < bits; ++i) {
         const u32 byte = (pos + i) / 8;
         const u32 bit = (pos + i) % 8;
-        if (byte < buf.size() && (buf[byte] & (1u << bit)))
+        if (byte < size && (buf[byte] & (1u << bit)))
             v |= 1u << i;
     }
     pos += bits;
@@ -47,7 +47,7 @@ getBitsSigned(const std::vector<u8>& buf, u32& pos, u32 bits)
 }
 
 void
-putU32(std::vector<u8>& buf, u32 offset, u32 v)
+putU32(u8* buf, u32 offset, u32 v)
 {
     buf[offset] = static_cast<u8>(v);
     buf[offset + 1] = static_cast<u8>(v >> 8);
@@ -56,7 +56,7 @@ putU32(std::vector<u8>& buf, u32 offset, u32 v)
 }
 
 u32
-getU32(const std::vector<u8>& buf, u32 offset)
+getU32(const u8* buf, u32 offset)
 {
     return static_cast<u32>(buf[offset]) |
            (static_cast<u32>(buf[offset + 1]) << 8) |
@@ -64,11 +64,19 @@ getU32(const std::vector<u8>& buf, u32 offset)
            (static_cast<u32>(buf[offset + 3]) << 24);
 }
 
-/** Try one residual width; returns true and fills @p out on fit. */
+/** Try one residual width; returns true and fills the first
+ * @p budgetBytes of @p out on fit. */
 bool
 tryCompress(const std::array<u32, zTileWords>& tile, u32 residualBits,
-            u32 budgetBytes, std::vector<u8>& out)
+            u32 budgetBytes, ZPayload& out)
 {
+    static_assert(headerBytes * 8 + zTileWords * halfResidualBits <=
+                      zStoredBytes(TileCompression::Half) * 8,
+                  "a 1:2 payload fits its budget");
+    static_assert(headerBytes * 8 + zTileWords * quarterResidualBits <=
+                      zStoredBytes(TileCompression::Quarter) * 8,
+                  "a 1:4 payload fits its budget");
+
     const u8 stencil = stencilOf(tile[0]);
     for (u32 w : tile) {
         if (stencilOf(w) != stencil)
@@ -95,53 +103,44 @@ tryCompress(const std::array<u32, zTileWords>& tile, u32 residualBits,
         }
     }
 
-    out.clear();
-    out.resize(headerBytes, 0);
+    std::fill(out.begin(), out.begin() + budgetBytes, u8{0});
     out[0] = stencil;
-    putU32(out, 1, static_cast<u32>(d00));
-    putU32(out, 5, static_cast<u32>(static_cast<s32>(dx)));
-    putU32(out, 9, static_cast<u32>(static_cast<s32>(dy)));
+    putU32(out.data(), 1, static_cast<u32>(d00));
+    putU32(out.data(), 5, static_cast<u32>(static_cast<s32>(dx)));
+    putU32(out.data(), 9, static_cast<u32>(static_cast<s32>(dy)));
     u32 pos = headerBytes * 8;
     for (u32 i = 0; i < zTileWords; ++i) {
-        putBits(out, pos,
+        putBits(out.data(), pos,
                 static_cast<u32>(residuals[i]) &
                     ((1u << residualBits) - 1),
                 residualBits);
     }
-    if (out.size() > budgetBytes)
-        return false;
-    out.resize(budgetBytes, 0);
     return true;
 }
 
 } // anonymous namespace
 
-ZCompressResult
-ZCompressor::compress(const std::array<u32, zTileWords>& tile)
+TileCompression
+ZCompressor::compress(const std::array<u32, zTileWords>& tile,
+                      ZPayload& out)
 {
-    ZCompressResult result;
-    if (tryCompress(tile, quarterResidualBits, zTileBytes / 4,
-                    result.data)) {
-        result.mode = TileCompression::Quarter;
-        return result;
-    }
-    if (tryCompress(tile, halfResidualBits, zTileBytes / 2,
-                    result.data)) {
-        result.mode = TileCompression::Half;
-        return result;
-    }
-    result.mode = TileCompression::Uncompressed;
-    result.data.clear();
-    return result;
+    if (tryCompress(tile, quarterResidualBits,
+                    zStoredBytes(TileCompression::Quarter), out))
+        return TileCompression::Quarter;
+    if (tryCompress(tile, halfResidualBits,
+                    zStoredBytes(TileCompression::Half), out))
+        return TileCompression::Half;
+    return TileCompression::Uncompressed;
 }
 
 std::array<u32, zTileWords>
-ZCompressor::decompress(TileCompression mode,
-                        const std::vector<u8>& data)
+ZCompressor::decompress(TileCompression mode, const u8* data, u32 size)
 {
     if (mode == TileCompression::Uncompressed)
         panic("ZCompressor: decompress called on an uncompressed"
               " tile");
+    if (size < headerBytes)
+        panic("ZCompressor: a ", size, "-byte payload has no header");
 
     const u32 residualBits = mode == TileCompression::Quarter
                                  ? quarterResidualBits
@@ -156,7 +155,7 @@ ZCompressor::decompress(TileCompression mode,
     u32 pos = headerBytes * 8;
     for (u32 y = 0; y < 8; ++y) {
         for (u32 x = 0; x < 8; ++x) {
-            const s32 r = getBitsSigned(data, pos, residualBits);
+            const s32 r = getBitsSigned(data, size, pos, residualBits);
             const s64 depth = d00 + dx * x + dy * y + r;
             tile[y * 8 + x] = packDepthStencil(
                 static_cast<u32>(depth) & maxDepthValue, stencil);

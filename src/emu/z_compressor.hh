@@ -17,7 +17,6 @@
 #define ATTILA_EMU_Z_COMPRESSOR_HH
 
 #include <array>
-#include <vector>
 
 #include "sim/types.hh"
 
@@ -37,44 +36,44 @@ constexpr u32 zTileWords = 64;
 /** Uncompressed tile size in bytes. */
 constexpr u32 zTileBytes = zTileWords * 4;
 
-/** Result of a compression attempt. */
-struct ZCompressResult
+/** Stored bytes of a tile in @p mode: 64, 128 or 256. */
+constexpr u32
+zStoredBytes(TileCompression mode)
 {
-    TileCompression mode = TileCompression::Uncompressed;
-    /** Compressed payload; empty when uncompressed. */
-    std::vector<u8> data;
-
-    u32
-    storedBytes() const
-    {
-        switch (mode) {
-          case TileCompression::Half: return zTileBytes / 2;
-          case TileCompression::Quarter: return zTileBytes / 4;
-          default: return zTileBytes;
-        }
+    switch (mode) {
+      case TileCompression::Half: return zTileBytes / 2;
+      case TileCompression::Quarter: return zTileBytes / 4;
+      default: return zTileBytes;
     }
-};
+}
+
+/** A compressed payload: room for the largest (1:2) one. */
+using ZPayload = std::array<u8, zTileBytes / 2>;
 
 /**
- * Plane-predictor depth tile compressor.
+ * Plane-predictor depth tile compressor.  Neither direction
+ * allocates: the payload lives in caller-owned storage.
  */
 class ZCompressor
 {
   public:
     /**
      * Try to compress @p tile (64 depth/stencil words, row-major
-     * 8x8).  Requires a uniform stencil byte across the tile.
-     * Attempts 1:4 first, then 1:2.
+     * 8x8) into @p out.  Requires a uniform stencil byte across the
+     * tile.  Attempts 1:4 first, then 1:2.  Returns the mode; the
+     * payload is the first zStoredBytes(mode) bytes of @p out
+     * (nothing when Uncompressed).
      */
-    static ZCompressResult compress(
-        const std::array<u32, zTileWords>& tile);
+    static TileCompression compress(
+        const std::array<u32, zTileWords>& tile, ZPayload& out);
 
     /**
-     * Reverse compress().  @p mode and @p data must come from a
-     * successful compression.
+     * Reverse compress() on the @p size payload bytes at @p data.
+     * @p mode must come from a successful compression.
      */
-    static std::array<u32, zTileWords> decompress(
-        TileCompression mode, const std::vector<u8>& data);
+    static std::array<u32, zTileWords> decompress(TileCompression mode,
+                                                  const u8* data,
+                                                  u32 size);
 };
 
 } // namespace attila::emu

@@ -14,6 +14,7 @@
 #include "gpu/link.hh"
 #include "gpu/primitive_assembly.hh"
 #include "gpu/regs.hh"
+#include "gpu/z_stencil_test.hh"
 #include "sim/simulator.hh"
 
 using namespace attila;
@@ -186,6 +187,106 @@ TEST(PrimitiveAssembly, ForwardsBatchMarkersAsTriangleObjects)
     auto tri = std::dynamic_pointer_cast<TriangleObj>(output[1]);
     ASSERT_NE(tri, nullptr);
     EXPECT_FALSE(tri->isMarker());
+}
+
+TEST(ZStencilTest, EarlyBatchWaitsForLateBatchBehindFullPipeline)
+{
+    // An early-Z batch E follows a late-Z batch L.  E's BatchStart
+    // reaches ROPz while the early delay pipeline is full, so it
+    // waits there for many cycles.  E's quads must still wait for
+    // L's late Z accesses (L's BatchEnd on the late input) before
+    // they test: waiting must not drop the gate on L.
+    sim::Simulator sim;
+    GpuConfig config;
+    config.ropLatency = 40;
+    emu::GpuMemory memory(1 << 20);
+    HostBox hz(sim.binder(), sim.stats(), "hz");
+    HostBox ffifo(sim.binder(), sim.stats(), "ffifo");
+    HostBox sinks(sim.binder(), sim.stats(), "sinks");
+    ZStencilTest ropz(sim.binder(), sim.stats(), config, 0, memory);
+    LinkTx early;
+    early.init(hz, sim.binder(), "hz.ropz0", 16, 1, 16);
+    LinkTx late;
+    late.init(ffifo, sim.binder(), "ffifo.ropz0.late", 2, 1, 8);
+    LinkRx<QuadObj> toInterp;
+    toInterp.init(sinks, sim.binder(), "ropz0.interp", 1,
+                  config.ropLatency, 16);
+    LinkRx<QuadObj> toRopc;
+    toRopc.init(sinks, sim.binder(), "ropz0.ropc", 1,
+                config.ropLatency, 8);
+
+    // No depth or stencil test: quads need no Z cache, so only the
+    // batch gate can hold them.
+    auto earlyState = std::make_shared<RenderState>();
+    auto lateState = std::make_shared<RenderState>();
+    lateState->earlyZAllowed = false;
+    auto marker = [](MarkerKind kind, u32 batch, RenderStatePtr state) {
+        auto q = std::make_shared<QuadObj>();
+        q->marker = kind;
+        q->batchId = batch;
+        q->state = std::move(state);
+        return q;
+    };
+    auto quad = [](u32 batch, RenderStatePtr state) {
+        auto q = std::make_shared<QuadObj>();
+        q->batchId = batch;
+        q->state = std::move(state);
+        q->coverage = {true, true, true, true};
+        return q;
+    };
+    // Batch 0 (early) and L's markers fill the 8-entry pipeline
+    // before E's BatchStart arrives.
+    std::vector<QuadObjPtr> earlyInput{
+        marker(MarkerKind::BatchStart, 0, earlyState)};
+    for (int i = 0; i < 4; ++i)
+        earlyInput.push_back(quad(0, earlyState));
+    earlyInput.push_back(marker(MarkerKind::BatchEnd, 0, earlyState));
+    earlyInput.push_back(marker(MarkerKind::BatchStart, 1, lateState));
+    earlyInput.push_back(marker(MarkerKind::BatchEnd, 1, lateState));
+    earlyInput.push_back(marker(MarkerKind::BatchStart, 2, earlyState));
+    for (int i = 0; i < 3; ++i)
+        earlyInput.push_back(quad(2, earlyState));
+
+    std::size_t next = 0;
+    hz.tick = [&](Cycle cycle) {
+        early.clock(cycle);
+        while (next < earlyInput.size() && early.canSend(cycle))
+            early.send(cycle, earlyInput[next++]);
+    };
+    bool lateDone = false;
+    bool lateSent = false;
+    ffifo.tick = [&](Cycle cycle) {
+        late.clock(cycle);
+        if (lateDone && !lateSent && late.canSend(cycle)) {
+            late.send(cycle, marker(MarkerKind::BatchStart, 1, lateState));
+            late.send(cycle, marker(MarkerKind::BatchEnd, 1, lateState));
+            lateSent = true;
+        }
+    };
+    u32 batch2Quads = 0;
+    sinks.tick = [&](Cycle cycle) {
+        toInterp.clock(cycle);
+        toRopc.clock(cycle);
+        while (!toInterp.empty()) {
+            const QuadObjPtr q = toInterp.pop(cycle);
+            batch2Quads += q->batchId == 2 && !q->isMarker();
+        }
+        while (!toRopc.empty())
+            toRopc.pop(cycle);
+    };
+    sim.addBox(&hz);
+    sim.addBox(&ffifo);
+    sim.addBox(&ropz);
+    sim.addBox(&sinks);
+
+    sim.run(400);
+    ASSERT_EQ(next, earlyInput.size());
+    EXPECT_EQ(batch2Quads, 0u)
+        << "batch 2 tested its quads before batch 1's late Z accesses";
+
+    lateDone = true;
+    sim.run(400);
+    EXPECT_EQ(batch2Quads, 3u);
 }
 
 TEST(Interpolator, QuadAttributesPerspectiveCorrect)
