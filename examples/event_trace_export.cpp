@@ -8,7 +8,8 @@
  *   event_trace_export input.evtrace output.trace.json [--window N]
  *
  * Also prints a summary of the trace (units, events, per-window
- * aggregate series) to stdout, so it doubles as a quick inspection
+ * aggregate series) and a per-box table of clocked cycles and their
+ * share of the run to stdout, so it doubles as a quick inspection
  * tool when no browser is at hand.
  */
 
@@ -100,6 +101,7 @@ main(int argc, char** argv)
                   << series.buckets << " buckets\n"
                   << "wrote " << output
                   << " — open it at https://ui.perfetto.dev\n";
+        sim::printBoxActivity(std::cout, sim::boxActivity(data));
     } catch (const FatalError& e) {
         std::cerr << "error: " << e.what() << "\n";
         return 1;

@@ -24,6 +24,7 @@
 #define ATTILA_SIM_TRACE_EXPORT_HH
 
 #include <map>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -66,6 +67,26 @@ TraceSeries aggregateTrace(const EventTraceData& data, u64 window);
 std::vector<std::string>
 crossCheckStats(const TraceSeries& series,
                 const StatisticManager& stats);
+
+/** Clocked cycles per box over a trace. */
+struct BoxActivity
+{
+    /** Cycles from 0 to the end of the last event. */
+    u64 runCycles = 0;
+    /** Box name and the cycles its activity spans cover, in
+     * registration order. */
+    std::vector<std::pair<std::string, u64>> clocked;
+};
+
+/** The clocked cycles of every box of @p data, from its activity
+ * spans (the scheduler opens a span when it clocks a box and closes
+ * it when it skips the box). */
+BoxActivity boxActivity(const EventTraceData& data);
+
+/** Print @p activity as a table: one row per box with its clocked
+ * cycles and their share of the run, then the total over all boxes
+ * (box updates) and the active ratio. */
+void printBoxActivity(std::ostream& os, const BoxActivity& activity);
 
 /**
  * Render @p data as Chrome-tracing JSON ("traceEvents" array with

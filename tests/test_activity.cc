@@ -115,6 +115,37 @@ class SleepyConsumer : public Box
     Statistic& _stat;
 };
 
+/** Holds an item it can never move: asleep from its first update on,
+ * while a blocked update would count a stall cycle per cycle, so it
+ * ticks the count instead. */
+class StalledBox : public Box
+{
+  public:
+    StalledBox(SignalBinder& binder, StatisticManager& stats,
+               bool honest)
+        : Box(binder, stats, "stalled"), _stall(stat("stallCycles")),
+          _honest(honest)
+    {
+        wakeAt(0);
+    }
+
+    void
+    update(Cycle cycle) override
+    {
+        _stall.tickFrom(cycle, 0);
+        _stall.inc();
+        if (_honest)
+            _stall.tickFrom(cycle + 1, 1);
+    }
+
+    bool busy() const override { return false; }
+    bool empty() const override { return false; }
+
+  private:
+    Statistic& _stall;
+    bool _honest;
+};
+
 void
 runWithScheduler(Simulator& sim, bool parallel)
 {
@@ -203,6 +234,71 @@ TEST(Activity, FastForwardKeepsStatWindowsExact)
     const auto off = capture(false);
     EXPECT_EQ(on.first, off.first);
     EXPECT_EQ(on.second, off.second);
+}
+
+// A sleeping box's ticking statistic counts every skipped cycle,
+// also across whole-model fast-forward: windows and totals match the
+// always-clocked run, and a run that stops mid-tick reads exact
+// totals.
+TEST(Activity, SleepingBoxTicksMatchClockedCounts)
+{
+    const auto capture = [](bool idle_skip) {
+        Simulator sim;
+        sim.setIdleSkip(idle_skip);
+        sim.stats().setWindow(8);
+        StalledBox box(sim.binder(), sim.stats(), true);
+        sim.addBox(&box);
+        sim.run(37);
+        EXPECT_EQ(sim.stats().find("stalled.stallCycles")->total(), 37u);
+        sim.run(58);
+        std::ostringstream windows;
+        std::ostringstream totals;
+        sim.stats().writeCsv(windows);
+        sim.stats().writeTotalsCsv(totals);
+        return std::make_pair(windows.str(), totals.str());
+    };
+    const auto on = capture(true);
+    const auto off = capture(false);
+    EXPECT_EQ(on.first, off.first);
+    EXPECT_EQ(on.second, off.second);
+}
+
+// The sleep oracle clocks a box skipped while it holds work and
+// names it when that update was not a no-op: here a box that sleeps
+// without ticking the stall count its blocked update adds.
+TEST(Activity, SleepOracleNamesBoxThatWorksWhileAsleep)
+{
+    for (const bool parallel : {false, true}) {
+        Simulator sim;
+        StalledBox box(sim.binder(), sim.stats(), false);
+        sim.addBox(&box);
+        runWithScheduler(sim, parallel);
+        sim.setSleepOracle(true);
+        try {
+            sim.run(10);
+            ADD_FAILURE() << "the oracle missed the box";
+        } catch (const SimError& e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          "sleep oracle: box 'stalled' was skipped at "
+                          "cycle 1 holding work, but its update changed "
+                          "statistic 'stalled.stallCycles'"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
+// An honest sleeper passes the oracle, and the oracle's extra
+// updates leave every observable as it was.
+TEST(Activity, SleepOraclePassesTickingSleeper)
+{
+    Simulator sim;
+    sim.stats().setWindow(8);
+    StalledBox box(sim.binder(), sim.stats(), true);
+    sim.addBox(&box);
+    sim.setSleepOracle(true);
+    EXPECT_NO_THROW(sim.run(50));
+    EXPECT_EQ(sim.stats().find("stalled.stallCycles")->total(), 50u);
 }
 
 // When every box is quiescent and nothing is scheduled, run() must

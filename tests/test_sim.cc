@@ -216,6 +216,100 @@ TEST(Statistics, LateRegistrationPadsWindows)
     EXPECT_EQ(late.samples()[1], 2u);
 }
 
+namespace
+{
+
+/** Report cycles up to @p to as simulated to @p stats (what the
+ * simulator's step() does after each cycle). */
+void
+runTo(StatisticManager& stats, Cycle to)
+{
+    for (Cycle c = stats.now() + 1; c <= to; ++c)
+        stats.cycle(c);
+}
+
+} // anonymous namespace
+
+TEST(Statistics, TickOnAndOffInsideOneWindow)
+{
+    StatisticManager stats;
+    stats.setWindow(10);
+    Statistic& s = stats.get("box", "stall");
+    runTo(stats, 3);
+    s.tickFrom(3, 1); // Cycles 3..6 count.
+    runTo(stats, 7);
+    s.tickFrom(7, 0);
+    runTo(stats, 10);
+    ASSERT_EQ(s.samples().size(), 1u);
+    EXPECT_EQ(s.samples()[0], 4u);
+    EXPECT_EQ(s.total(), 4u);
+}
+
+TEST(Statistics, TickAcrossWindowBoundaries)
+{
+    StatisticManager stats;
+    stats.setWindow(10);
+    Statistic& s = stats.get("box", "stall");
+    s.inc(1);
+    runTo(stats, 8);
+    s.tickFrom(8, 1);
+    runTo(stats, 25);
+    s.tickFrom(25, 0);
+    runTo(stats, 30);
+    EXPECT_EQ(s.samples(), (std::vector<u64>{3, 10, 5}));
+    EXPECT_EQ(s.total(), 18u);
+}
+
+TEST(Statistics, TickAcrossFastForward)
+{
+    // skipCycles() closes each skipped window at its own boundary,
+    // so every window gets exactly its cycles' ticks.
+    StatisticManager stats;
+    stats.setWindow(10);
+    Statistic& s = stats.get("box", "stall");
+    runTo(stats, 5);
+    s.tickFrom(5, 2);
+    runTo(stats, 6);
+    stats.skipCycles(6, 47);
+    EXPECT_EQ(stats.now(), 47u);
+    runTo(stats, 50);
+    s.tickFrom(50, 0);
+    runTo(stats, 60);
+    EXPECT_EQ(s.samples(),
+              (std::vector<u64>{10, 20, 20, 20, 20, 0}));
+    EXPECT_EQ(s.total(), 90u);
+}
+
+TEST(Statistics, TickOnLateRegisteredStatistic)
+{
+    StatisticManager stats;
+    stats.setWindow(10);
+    runTo(stats, 20);
+    Statistic& late = stats.get("box", "late");
+    late.tickFrom(23, 1);
+    runTo(stats, 30);
+    EXPECT_EQ(late.samples(), (std::vector<u64>{0, 0, 7}));
+}
+
+TEST(Statistics, TickReadMidTick)
+{
+    // A run that stops while a statistic ticks reads the ticks up to
+    // the current cycle: no settling step is needed.
+    StatisticManager stats;
+    stats.setWindow(10);
+    Statistic& s = stats.get("box", "stall");
+    s.tickFrom(4, 1);
+    runTo(stats, 17);
+    EXPECT_EQ(s.total(), 13u);
+    EXPECT_EQ(s.windowValue(), 7u);
+    std::ostringstream totals;
+    stats.writeTotalsCsv(totals);
+    EXPECT_EQ(totals.str(), "statistic,total\nbox.stall,13\n");
+    runTo(stats, 20);
+    EXPECT_EQ(s.samples(), (std::vector<u64>{6, 10}));
+    EXPECT_EQ(s.total(), 16u);
+}
+
 TEST(Statistics, CsvOutputShape)
 {
     StatisticManager stats;
