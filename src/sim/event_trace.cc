@@ -23,7 +23,7 @@ nextTraceSerial()
     return counter.fetch_add(1, std::memory_order_relaxed);
 }
 
-constexpr char kMagic[8] = {'A', 'T', 'E', 'V', 'T', 'R', '0', '1'};
+constexpr char kMagic[8] = {'A', 'T', 'E', 'V', 'T', 'R', '0', '2'};
 
 u64
 fnv1a(const void* data, std::size_t size, u64 hash = 0xcbf29ce484222325ull)

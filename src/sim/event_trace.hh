@@ -11,8 +11,9 @@
  * serial and parallel clocking.
  *
  * Four event families are recorded:
- *  - box activity spans (SpanBegin/SpanEnd) from the scheduler's
- *    clock/skip decisions — unit utilization timelines;
+ *  - box activity spans (Span) from the scheduler's clock/skip
+ *    decisions, one event per span when it closes — unit
+ *    utilization timelines;
  *  - signal occupancy (SignalWrite), one event per object published
  *    into a wire, carrying the object's id and parent cookie so the
  *    fragment→triangle→batch lineage survives into the trace;
@@ -56,8 +57,7 @@ inline constexpr u64 kNoTraceId = ~u64{0};
 
 /** Event type discriminator (u16 in the record). */
 enum class EventKind : u16 {
-    SpanBegin = 1,  ///< Box becomes active; unit = box id.
-    SpanEnd = 2,    ///< Box goes idle; cycle is exclusive span end.
+    Span = 1,       ///< Box active over [cycle, id); unit = box id.
     SignalWrite = 3, ///< Object published into a wire; unit = signal.
     CacheHit = 4,   ///< Cache access hit; unit = cache, arg = address.
     CacheMiss = 5,  ///< Fresh cache miss; unit = cache, arg = address.
@@ -72,7 +72,8 @@ enum class EventKind : u16 {
 struct TraceEvent
 {
     u64 cycle;  ///< Simulated cycle of the event.
-    u64 id;     ///< DynamicObject id (kNoTraceId when not applicable).
+    u64 id;     ///< DynamicObject id (kNoTraceId when not applicable);
+                ///< a Span's exclusive end cycle.
     u64 parent; ///< Innermost ancestor cookie (kNoTraceId when root).
     u32 arg;    ///< Kind-specific payload (color, address, slot).
     u16 unit;   ///< Registered unit id (box / signal / cache / shader).
@@ -126,7 +127,7 @@ class EventTrace
 
     // ===== Unit registration (sim thread) ==========================
 
-    /** Register a box name; returns the id used in span events. */
+    /** Register a box name; returns the id used in Span events. */
     u16 registerBox(const std::string& name);
     /** Register a signal name; returns the id for SignalWrite. */
     u16 registerSignal(const std::string& name);

@@ -147,7 +147,7 @@ TEST(EventTrace, EventLimitCountsDrops)
     trace.setEventLimit(EventTrace::kChunkEvents);
     const u64 total = 3 * EventTrace::kChunkEvents;
     for (u64 i = 0; i < total; ++i)
-        trace.emit(EventKind::SpanBegin, i, unit);
+        trace.emit(EventKind::Span, i, unit, 0, i + 1);
     const EventTraceData data = trace.collect();
     EXPECT_EQ(data.events.size(), EventTrace::kChunkEvents);
     EXPECT_EQ(data.dropped, total - EventTrace::kChunkEvents);
@@ -156,7 +156,7 @@ TEST(EventTrace, EventLimitCountsDrops)
 TEST(EventTrace, BoxSpansFollowActivity)
 {
     // A periodic box under idle skipping is clocked one cycle per
-    // period: every firing must open and close one activity span.
+    // period: every firing must record one activity span.
     Simulator sim;
     PeriodicBox box(sim.binder(), sim.stats(), "periodic", 10);
     sim.addBox(&box);
@@ -166,10 +166,7 @@ TEST(EventTrace, BoxSpansFollowActivity)
 
     ASSERT_EQ(data.boxes.size(), 1u);
     EXPECT_EQ(data.boxes[0], "periodic");
-    const u64 begins = countKind(data, EventKind::SpanBegin);
-    const u64 ends = countKind(data, EventKind::SpanEnd);
-    EXPECT_EQ(begins, box.updates);
-    EXPECT_EQ(ends, begins);
+    EXPECT_EQ(countKind(data, EventKind::Span), box.updates);
 
     // The aggregated utilization equals the cycles actually clocked.
     const TraceSeries series = aggregateTrace(data, 10);
@@ -189,9 +186,8 @@ TEST(EventTrace, BinaryRoundTrip)
     const u16 sig = trace.registerSignal("a.b");
     trace.registerCache("cache0");
     trace.registerShader("sh0");
-    trace.emit(EventKind::SpanBegin, 5, box);
+    trace.emit(EventKind::Span, 5, box, 0, 9);
     trace.emit(EventKind::SignalWrite, 7, sig, 42, 1001, 77);
-    trace.emit(EventKind::SpanEnd, 9, box);
     const EventTraceData data = trace.collect();
     writeEventTraceBinary(data, path);
 
@@ -228,7 +224,7 @@ TEST(EventTrace, CorruptBinaryIsDiagnosticFatal)
     EventTrace trace;
     const u16 box = trace.registerBox("b");
     for (u64 i = 0; i < 100; ++i)
-        trace.emit(EventKind::SpanBegin, i, box);
+        trace.emit(EventKind::Span, i, box, 0, i + 1);
     writeEventTraceBinary(trace.collect(), path);
     std::ifstream in(path, std::ios::binary);
     std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
@@ -398,9 +394,8 @@ TEST(EventTrace, ChromeJsonWellFormed)
     EventTrace trace;
     const u16 box = trace.registerBox("MyBox \"quoted\"");
     const u16 sig = trace.registerSignal("a.b");
-    trace.emit(EventKind::SpanBegin, 0, box);
+    trace.emit(EventKind::Span, 0, box, 0, 6);
     trace.emit(EventKind::SignalWrite, 3, sig, 1, 10, 2);
-    trace.emit(EventKind::SpanEnd, 6, box);
     const std::string json = chromeTraceJson(trace.collect(), 5);
 
     EXPECT_EQ(json.rfind("{\"traceEvents\":[", 0), 0u);

@@ -164,6 +164,49 @@ TEST(GpuPipeline, SolidTriangle)
     }
 }
 
+TEST(GpuPipeline, EmptyBufferWriteDrains)
+{
+    // glBufferData of size 0 reaches the Command Processor as a
+    // WriteBuffer with no bytes: its bus transfer ends, and the next
+    // update must retire it although no memory write or ack follows.
+    CommandList list;
+    emitSurfaceSetup(list);
+    emitPassthroughPrograms(list);
+    emitVertexData(list, 0x100000, 0x110000,
+                   {{-1, -1, 0, 1}, {3, -1, 0, 1}, {-1, 3, 0, 1}},
+                   {{0, 1, 0, 1}, {0, 1, 0, 1}, {0, 1, 0, 1}});
+    list.push_back(Command::clearColor());
+    list.push_back(Command::writeBuffer(0x120000, {}));
+    list.push_back(Command::drawBatch(Primitive::Triangles, 3));
+    list.push_back(Command::swap());
+
+    struct Mode
+    {
+        const char* name;
+        bool idleSkip;
+        bool oracle;
+    };
+    Cycle reference = 0;
+    for (const Mode mode : {Mode{"always clocked", false, false},
+                            Mode{"idle skip", true, false},
+                            Mode{"sleep oracle", true, true}}) {
+        GpuConfig config = GpuConfig::baseline();
+        config.memorySize = 8u << 20;
+        Gpu gpu(config);
+        gpu.simulator().setIdleSkip(mode.idleSkip);
+        gpu.simulator().setSleepOracle(mode.oracle);
+        gpu.submit(list);
+        ASSERT_TRUE(gpu.runUntilIdle(2'000'000))
+            << mode.name << ": pipeline did not drain";
+        ASSERT_EQ(gpu.frames().size(), 1u) << mode.name;
+        EXPECT_EQ(gpu.frames().back().pixel(5, 5), rgba(0, 255, 0))
+            << mode.name;
+        if (reference == 0)
+            reference = gpu.cycle();
+        EXPECT_EQ(gpu.cycle(), reference) << mode.name;
+    }
+}
+
 TEST(GpuPipeline, DepthTestOrdersSurfaces)
 {
     CommandList list;
