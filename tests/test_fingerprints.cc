@@ -10,10 +10,13 @@
  * interpreter, a different allocator, another scheduler) must leave
  * all three untouched.  The reference renderer must reproduce the
  * simulated frame pixel for pixel (the paper's Figure 10 oracle).
+ * The event trace of terrain and cubes is pinned too, so object ids,
+ * their order and their parent lineage cannot drift unnoticed.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -116,6 +119,61 @@ checkScene(const fig10::Config& scene, bool parallel)
     }
 }
 
+/** True for the event kinds whose id and parent are object ids. */
+bool
+carriesObjectIds(u16 kind)
+{
+    return kind == static_cast<u16>(sim::EventKind::SignalWrite) ||
+           kind == static_cast<u16>(sim::EventKind::ThreadBegin) ||
+           kind == static_cast<u16>(sim::EventKind::ThreadEnd);
+}
+
+/**
+ * FNV-1a over every event of a serial, event-traced run of @p scene
+ * on the baseline.  Object ids and parents are rebased by the
+ * smallest object id in the trace: the id counter is process-global,
+ * so absolute ids depend on what ran earlier in the process.
+ */
+u64
+eventTraceHash(fig10::Scene scene)
+{
+    gpu::GpuConfig config = gpu::GpuConfig::baseline();
+    config.eventTrace = true;
+    const std::unique_ptr<gpu::Gpu> gpu = fig10::makeGpu(config);
+    gpu->submit(fig10::commands(scene));
+    EXPECT_TRUE(gpu->runUntilIdle(2'000'000'000ull))
+        << "pipeline did not drain";
+    const sim::EventTraceData trace =
+        gpu->simulator().finishEventTrace();
+    EXPECT_EQ(trace.dropped, 0u);
+
+    u64 base = sim::kNoTraceId;
+    for (const sim::TraceEvent& e : trace.events) {
+        if (carriesObjectIds(e.kind))
+            base = std::min(base, e.id);
+    }
+    const auto rebase = [base](u64 id) {
+        return id == sim::kNoTraceId ? id : id - base;
+    };
+    u64 h = 14695981039346656037ull;
+    const auto mix = [&h](u64 value, std::size_t bytes) {
+        for (std::size_t i = 0; i < bytes; ++i) {
+            h ^= (value >> (8 * i)) & 0xff;
+            h *= 1099511628211ull;
+        }
+    };
+    for (const sim::TraceEvent& e : trace.events) {
+        const bool ids = carriesObjectIds(e.kind);
+        mix(e.cycle, 8);
+        mix(ids ? rebase(e.id) : e.id, 8);
+        mix(ids ? rebase(e.parent) : e.parent, 8);
+        mix(e.arg, 4);
+        mix(e.unit, 2);
+        mix(e.kind, 2);
+    }
+    return h;
+}
+
 TEST(Fingerprints, Shadows)
 {
     checkScene(fig10::configs()[0], false);
@@ -144,6 +202,18 @@ TEST(Fingerprints, TerrainNonUnified)
 TEST(Fingerprints, ShadowsRopAblations)
 {
     checkScene(fig10::configs()[5], false);
+}
+
+TEST(Fingerprints, TerrainEventTrace)
+{
+    const u64 hash = eventTraceHash(fig10::Scene::Terrain);
+    EXPECT_EQ(hash, 0xc14306420aab88d0ull) << "0x" << std::hex << hash;
+}
+
+TEST(Fingerprints, CubesEventTrace)
+{
+    const u64 hash = eventTraceHash(fig10::Scene::Cubes);
+    EXPECT_EQ(hash, 0xb06abb6fa76fc018ull) << "0x" << std::hex << hash;
 }
 
 } // anonymous namespace
