@@ -2,8 +2,8 @@
  * @file
  * google-benchmark micro-benchmarks of the simulation framework
  * primitives (paper §3 claims the box/signal model is cheap enough
- * for cycle-level full-GPU simulation): signal throughput, object
- * pool recycling, shader emulator instruction rate, cache access
+ * for cycle-level full-GPU simulation): signal throughput, signal
+ * object creation, shader emulator instruction rate, cache access
  * rate, rasterizer setup and Z-tile compression.
  */
 
@@ -20,7 +20,6 @@
 #include "emu/rasterizer_emulator.hh"
 #include "emu/shader_emulator.hh"
 #include "emu/z_compressor.hh"
-#include "sim/object_pool.hh"
 #include "sim/signal.hh"
 #include "sim/simulator.hh"
 
@@ -220,19 +219,7 @@ BM_SignalWriteRead(benchmark::State& state)
 BENCHMARK(BM_SignalWriteRead);
 
 static void
-BM_ObjectPoolAcquire(benchmark::State& state)
-{
-    sim::ObjectPool<sim::DynamicObject> pool;
-    for (auto _ : state) {
-        auto obj = pool.acquire();
-        benchmark::DoNotOptimize(obj.get());
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ObjectPoolAcquire);
-
-static void
-BM_SharedPtrBaseline(benchmark::State& state)
+BM_DynamicObjectCreate(benchmark::State& state)
 {
     for (auto _ : state) {
         auto obj = std::make_shared<sim::DynamicObject>();
@@ -240,7 +227,7 @@ BM_SharedPtrBaseline(benchmark::State& state)
     }
     state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_SharedPtrBaseline);
+BENCHMARK(BM_DynamicObjectCreate);
 
 static void
 BM_ShaderEmulatorInstructions(benchmark::State& state)

@@ -16,6 +16,12 @@ FbCache::FbCache(std::string name, const Config& config,
       _hits(hits),
       _misses(misses)
 {
+    // A miss or writeback carries one line in its transaction.
+    if (_config.lineBytes == 0 ||
+        _config.lineBytes > memMaxTransactionBytes) {
+        fatal("cache '", _name, "': line of ", _config.lineBytes,
+              " bytes outside [1, ", memMaxTransactionBytes, "]");
+    }
     const u32 lines = (_config.sizeKB * 1024) / _config.lineBytes;
     if (lines == 0 || _config.ways == 0 ||
         lines % _config.ways != 0) {
@@ -110,12 +116,11 @@ FbCache::removeFillAt(u32 orderPos)
 void
 FbCache::queueWriteback(Cycle, u32 lineIndex)
 {
-    // Encode straight into the transaction's (pooled) payload; an
+    // Encode straight into the transaction's payload; an
     // intermediate staging buffer would copy the line twice.
-    MemTransactionPtr txn = _txnPool.acquire();
+    MemTransactionPtr txn = std::make_shared<MemTransaction>();
     txn->isRead = false;
     txn->address = _addr[lineIndex];
-    txn->data.resize(_config.lineBytes);
     u32 size = _config.lineBytes;
     if (_backing) {
         size = _backing->writeback(_addr[lineIndex],
@@ -124,7 +129,6 @@ FbCache::queueWriteback(Cycle, u32 lineIndex)
     } else {
         std::memcpy(txn->data.data(), lineData(lineIndex), size);
     }
-    txn->data.resize(size);
     txn->size = size;
     txn->tag = (static_cast<u64>(_addr[lineIndex]) << 1) | 1;
 
@@ -271,7 +275,7 @@ FbCache::clock(Cycle cycle, MemPort& port, MemClient client)
             continue;
         if (!port.canRequest(cycle))
             break;
-        MemTransactionPtr txn = _txnPool.acquire();
+        MemTransactionPtr txn = std::make_shared<MemTransaction>();
         txn->isRead = true;
         txn->address = slot.addr;
         txn->size =

@@ -19,8 +19,8 @@
  * path touches a handful of adjacent words instead of pointer-rich
  * Line structs.  Pending fills occupy a fixed MSHR-style slot table
  * with a per-line back-pointer, replacing the linear pending-fill
- * scans, and miss/writeback transactions are recycled through a
- * sharded ObjectPool so steady-state misses allocate nothing.
+ * scans.  A miss or writeback transaction carries its line inline,
+ * so each costs one heap allocation.
  */
 
 #ifndef ATTILA_GPU_CACHE_HH
@@ -30,7 +30,6 @@
 
 #include "gpu/memory_controller.hh"
 #include "sim/event_trace.hh"
-#include "sim/object_pool.hh"
 #include "sim/statistics.hh"
 
 namespace attila::gpu
@@ -144,10 +143,6 @@ class FbCache
      * exposed for tests. */
     u32 cancelledFills() const { return _cancelled; }
 
-    /** Transactions ever heap-allocated by the internal pool; the
-     * zero-steady-state-allocation check watches this plateau. */
-    u64 txnAllocations() const { return _txnPool.allocated(); }
-
     /**
      * Attach the structured event trace under cache unit id @p id.
      * Hit/miss events are emitted exactly where the hit/miss
@@ -246,8 +241,6 @@ class FbCache
     std::vector<WbEntry> _writebacks;
     u32 _wbHead = 0;
     u32 _wbLive = 0;
-
-    sim::ObjectPool<MemTransaction> _txnPool;
 
     u32 _accessesThisCycle = 0;
     Cycle _currentCycle = ~0ull;

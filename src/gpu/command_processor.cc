@@ -1,6 +1,7 @@
 #include "gpu/command_processor.hh"
 
 #include <algorithm>
+#include <cstring>
 
 namespace attila::gpu
 {
@@ -242,13 +243,14 @@ CommandProcessor::continueCommand(Cycle cycle)
         const auto& bytes = *_current.data;
         while (memBytesLeft() && _mem.canRequest(cycle)) {
             const u32 chunk = std::min<u32>(
-                256, static_cast<u32>(bytes.size()) - _memBytesSent);
-            auto txn = _txns.acquire();
+                memMaxTransactionBytes,
+                static_cast<u32>(bytes.size()) - _memBytesSent);
+            auto txn = std::make_shared<MemTransaction>();
             txn->isRead = false;
             txn->address = _current.address + _memBytesSent;
             txn->size = chunk;
-            txn->data.assign(bytes.begin() + _memBytesSent,
-                             bytes.begin() + _memBytesSent + chunk);
+            std::memcpy(txn->data.data(), bytes.data() + _memBytesSent,
+                        chunk);
             txn->client = MemClient::CommandProcessor;
             _mem.request(cycle, txn);
             _memBytesSent += chunk;

@@ -24,7 +24,6 @@
 #include "gpu/link.hh"
 #include "gpu/memory_controller.hh"
 #include "sim/box.hh"
-#include "sim/object_pool.hh"
 
 namespace attila::gpu
 {
@@ -113,7 +112,6 @@ class CommandProcessor : public sim::Box
     LinkTx _ctrlDac;
     std::vector<std::unique_ptr<LinkRx<AckObj>>> _ackIn;
     MemPort _mem;
-    sim::ObjectPool<MemTransaction> _txns;
 
     sim::Statistic& _statCommands;
     sim::Statistic& _statDraws;

@@ -95,7 +95,7 @@ Dac::dumpStep(Cycle cycle)
     _statBusy.inc();
     // Issue tile reads (refresh bandwidth).
     while (_nextTile < _totalTiles && _mem.canRequest(cycle)) {
-        auto txn = _txns.acquire();
+        auto txn = std::make_shared<MemTransaction>();
         txn->isRead = true;
         txn->address = _bufferBase + _nextTile * fbTileBytes;
         txn->size = fbTileBytes;

@@ -18,7 +18,6 @@
 #include "gpu/gpu_config.hh"
 #include "gpu/link.hh"
 #include "sim/box.hh"
-#include "sim/object_pool.hh"
 
 namespace attila::gpu
 {
@@ -76,7 +75,6 @@ class Dac : public sim::Box
     LinkRx<ControlObj> _ctrl;
     LinkTx _ack;
     MemPort _mem;
-    sim::ObjectPool<MemTransaction> _txns;
 
     const emu::GpuMemory& _memory;
     const std::vector<const RopBacking*> _colorBackings;

@@ -350,7 +350,7 @@ FragmentFifo::issue(Cycle cycle)
             work->target = emu::ShaderTarget::Fragment;
             work->state = entry.quad->state;
             work->batchId = entry.quad->batchId;
-            work->copyTrailFrom(*entry.quad);
+            work->setParent(*entry.quad);
             for (u32 l = 0; l < 4; ++l) {
                 work->active[l] = true; // Helper pixels execute.
                 work->in[l] = entry.quad->in[l];
@@ -359,7 +359,7 @@ FragmentFifo::issue(Cycle cycle)
             work->target = emu::ShaderTarget::Vertex;
             work->state = entry.vertices[0]->state;
             work->batchId = entry.vertices[0]->batchId;
-            work->copyTrailFrom(*entry.vertices[0]);
+            work->setParent(*entry.vertices[0]);
             for (u32 l = 0; l < entry.numVertices; ++l) {
                 work->active[l] = true;
                 work->in[l] = entry.vertices[l]->in;

@@ -33,7 +33,7 @@ FragmentGenerator::buildTile(s32 x0, s32 y0) const
     tile->triangle = _current;
     tile->x0 = x0;
     tile->y0 = y0;
-    tile->copyTrailFrom(*_current);
+    tile->setParent(*_current);
 
     f32 minZ = 1.0f;
     u64 coverage = 0;

@@ -127,7 +127,7 @@ HierarchicalZ::splitTile(Cycle cycle, const TileObjPtr& tile)
                 quad->backFacing =
                     tile->triangle->setup.ccw !=
                     tile->state->frontFaceCcw;
-                quad->copyTrailFrom(*tile);
+                quad->setParent(*tile);
                 _pendingQuads.push_back(std::move(quad));
             }
         }

@@ -77,8 +77,6 @@ MemoryController::acceptRequests(Cycle cycle)
                 panic("memory controller: transaction size ",
                       txn->size, " out of range");
             }
-            if (txn->isRead)
-                txn->data.assign(txn->size, 0);
 
             // Split into bursts along channel stripes.
             u32 offset = 0;

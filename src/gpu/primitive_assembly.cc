@@ -28,7 +28,7 @@ PrimitiveAssembly::emitTriangle(Cycle cycle, u32 a, u32 b, u32 c)
     tri->vertex[0] = _window[a]->out;
     tri->vertex[1] = _window[b]->out;
     tri->vertex[2] = _window[c]->out;
-    tri->copyTrailFrom(*_window[a]);
+    tri->setParent(*_window[a]);
     _out.send(cycle, tri);
     _statTriangles.inc();
     return true;

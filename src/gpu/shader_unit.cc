@@ -81,7 +81,7 @@ ShaderUnit::acceptWork(Cycle cycle)
                 _evtTrace->emit(sim::EventKind::ThreadBegin, cycle,
                                 _evtShaderId, slot,
                                 thread.work->id(),
-                                sim::traceParentOf(*thread.work));
+                                thread.work->parent());
             }
         }
     }
@@ -158,18 +158,23 @@ ShaderUnit::refreshDeps(const Thread& thread, ThreadSched& sched) const
     }
 }
 
-bool
-ShaderUnit::dependenciesReady(u32 slot, Cycle cycle)
+ShaderUnit::Readiness
+ShaderUnit::readiness(u32 slot, Cycle cycle)
 {
-    // "Ready at cycle c" was: no source temp has tempReady > c,
-    // i.e. c >= max(tempReady over sources).  That maximum only
-    // moves when the pc, laneDone or scoreboard change — all mark
-    // the memo stale — so it is computed once per change and the
-    // per-cycle check collapses to a compare.
     ThreadSched& sched = _sched[slot];
+    if (sched.waitingTexture)
+        return Readiness::TexWait;
+    if (sched.finished)
+        return Readiness::Finished;
+    // "Ready at cycle c" is: no source temp has tempReady > c, i.e.
+    // c >= max(tempReady over sources).  That maximum only moves
+    // when the pc, laneDone or scoreboard change — all mark the memo
+    // stale — so it is computed once per change and the per-cycle
+    // check collapses to a compare.
     if (sched.depsStale)
         refreshDeps(_threadPool[slot], sched);
-    return cycle >= sched.depsReadyAt;
+    return cycle >= sched.depsReadyAt ? Readiness::Ready
+                                      : Readiness::NotReady;
 }
 
 s32
@@ -180,14 +185,20 @@ ShaderUnit::selectThread(Cycle cycle)
 
     if (_config.scheduling == ShaderScheduling::InOrderQueue) {
         // Strictly in-order: only the oldest thread may execute.
-        // Insertion order is age order, so that is the front.
+        // Insertion order is age order, so that is the front.  A
+        // finished oldest thread is selected too: it holds the unit
+        // until it retires.
         const u32 oldest = _activeSlots.front();
-        if (_sched[oldest].waitingTexture) {
+        switch (readiness(oldest, cycle)) {
+          case Readiness::TexWait:
             _statStallTex.inc();
             return -1;
-        }
-        if (!dependenciesReady(oldest, cycle))
+          case Readiness::NotReady:
             return -1;
+          case Readiness::Finished:
+          case Readiness::Ready:
+            break;
+        }
         return static_cast<s32>(oldest);
     }
 
@@ -203,17 +214,12 @@ ShaderUnit::selectThread(Cycle cycle)
         if (pos >= n)
             pos -= n;
         const u32 slot = _activeSlots[pos];
-        const ThreadSched& sched = _sched[slot];
-        if (sched.waitingTexture) {
-            anyTexWait = true;
-            continue;
+        const Readiness r = readiness(slot, cycle);
+        anyTexWait |= r == Readiness::TexWait;
+        if (r == Readiness::Ready) {
+            candidate = static_cast<s32>(slot);
+            break;
         }
-        if (sched.finished)
-            continue;
-        if (!dependenciesReady(slot, cycle))
-            continue;
-        candidate = static_cast<s32>(slot);
-        break;
     }
     // No candidate means the scan visited every thread, so
     // anyTexWait is complete exactly when it is needed.
@@ -242,12 +248,10 @@ ShaderUnit::execute(Cycle cycle, u32 slot)
     Thread& thread = _threadPool[slot];
     ThreadSched& sched = _sched[slot];
     for (u32 n = 0; n < _config.shaderFetchRate; ++n) {
-        if (sched.waitingTexture || sched.finished)
-            return;
-        if (!dependenciesReady(slot, cycle))
+        if (readiness(slot, cycle) != Readiness::Ready)
             return;
 
-        // The memo dependenciesReady() just refreshed holds the next
+        // The memo readiness() just refreshed holds the next
         // instruction, so the texture link is tested before the
         // kernel reads any operand.
         const emu::DecodedIns* d = sched.next;
@@ -271,11 +275,11 @@ ShaderUnit::execute(Cycle cycle, u32 slot)
             if (qs.outcome != StepOutcome::TexRequest)
                 panic("ShaderUnit", _unit,
                       ": expected a texture request");
-            auto req = _texPool.acquire();
+            auto req = std::make_shared<TexRequest>();
             req->shaderId = _unit;
             req->threadTag = thread.work->entryId;
             req->state = thread.work->state;
-            req->copyTrailFrom(*thread.work);
+            req->setParent(*thread.work);
             for (u32 l = 0; l < 4; ++l) {
                 req->active[l] = !thread.laneDone[l];
                 if (!thread.laneDone[l])
@@ -341,7 +345,7 @@ ShaderUnit::update(Cycle cycle)
                         _evtTrace->emit(
                             sim::EventKind::ThreadEnd, cycle,
                             _evtShaderId, slot, thread.work->id(),
-                            sim::traceParentOf(*thread.work));
+                            thread.work->parent());
                     }
                 }
                 // Release references; the slot itself is recycled.
@@ -366,10 +370,10 @@ ShaderUnit::update(Cycle cycle)
 void
 ShaderUnit::prepareSleep(Cycle cycle)
 {
-    // Mirror selectThread() and execute() for the next cycle without
-    // new input.  The thread window selects one ready thread per
-    // cycle in rotation, so the unit can progress when any ready
-    // thread can; the in-order queue looks at the oldest only.
+    // Ask selectThread()'s and execute()'s readiness() about the next
+    // cycle without new input.  The thread window selects one ready
+    // thread per cycle in rotation, so the unit can progress when any
+    // ready thread can; the in-order queue looks at the oldest only.
     const Cycle next = cycle + 1;
     const bool inOrder =
         _config.scheduling == ShaderScheduling::InOrderQueue;
@@ -382,29 +386,31 @@ ShaderUnit::prepareSleep(Cycle cycle)
     Cycle wake = NoWake;
     for (u32 i = 0; i < _activeSlots.size(); ++i) {
         const u32 slot = _activeSlots[i];
-        ThreadSched& sched = _sched[slot];
+        const ThreadSched& sched = _sched[slot];
         anyFinished |= sched.finished;
         if (inOrder && i != 0)
             continue;
-        if (sched.waitingTexture) {
+        switch (readiness(slot, next)) {
+          case Readiness::TexWait:
             anyTexWait = true;
-            continue;
-        }
-        if (sched.finished && !inOrder)
-            continue;
-        if (sched.depsStale)
-            refreshDeps(_threadPool[slot], sched);
-        if (sched.depsReadyAt > next) {
+            break;
+          case Readiness::Finished:
+            // The in-order queue selects its finished oldest thread.
+            anyReady |= inOrder;
+            break;
+          case Readiness::NotReady:
             wake = std::min(wake, sched.depsReadyAt);
-            continue;
-        }
-        anyReady = true;
-        if (!sched.finished &&
-            (!sched.next || !sched.next->isTexture || texCredit)) {
-            // Clocked next cycle: that update switches the ticks off
-            // and sets its own wake, so the scan can stop here.
-            _busy = true;
-            return;
+            break;
+          case Readiness::Ready:
+            anyReady = true;
+            if (!sched.next || !sched.next->isTexture || texCredit) {
+                // Clocked next cycle: that update switches the ticks
+                // off and sets its own wake, so the scan can stop
+                // here.
+                _busy = true;
+                return;
+            }
+            break;
         }
     }
     _busy = anyFinished && _out.credits() > 0;

@@ -25,7 +25,6 @@
 #include "gpu/gpu_config.hh"
 #include "gpu/link.hh"
 #include "sim/box.hh"
-#include "sim/object_pool.hh"
 
 namespace attila::gpu
 {
@@ -107,13 +106,23 @@ class ShaderUnit : public sim::Box
         bool finished = false;
     };
 
+    /** What a thread can do at a cycle: the one readiness test
+     * behind selectThread(), execute() and prepareSleep(). */
+    enum class Readiness : u8
+    {
+        TexWait,  ///< Blocked on a texture response.
+        Finished, ///< Every lane done; waits to send its result.
+        NotReady, ///< A source temp is readable at depsReadyAt.
+        Ready,    ///< Its next instruction can issue.
+    };
+
     void acceptWork(Cycle cycle);
     void handleTexResponses(Cycle cycle);
     /** The slot of the thread to run this cycle, or -1. */
     s32 selectThread(Cycle cycle);
     void execute(Cycle cycle, u32 slot);
     bool sendResult(Cycle cycle, Thread& thread);
-    bool dependenciesReady(u32 slot, Cycle cycle);
+    Readiness readiness(u32 slot, Cycle cycle);
     void refreshDeps(const Thread& thread, ThreadSched& sched) const;
     /** Set busy(), the wake for the next source temp and the ticks a
      * blocked update would count, from the state @p cycle's update
@@ -141,7 +150,6 @@ class ShaderUnit : public sim::Box
     std::vector<ThreadSched> _sched;
     std::vector<u32> _freeThreads;
     std::vector<u32> _activeSlots;
-    sim::ObjectPool<TexRequest> _texPool;
     /** Thread-window round robin: advances once per cycle while the
      * unit holds threads, clocked or asleep. */
     u32 _rrNext = 0;

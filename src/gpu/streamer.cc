@@ -174,7 +174,7 @@ Streamer::fetchIndices(Cycle cycle)
         const u32 indexBytes = state.indexStream.wide ? 4 : 2;
         const u32 total = _batch->params.count * indexBytes;
         const u32 offset = _indexChunksRequested * indexChunkBytes;
-        auto txn = _txns.acquire();
+        auto txn = std::make_shared<MemTransaction>();
         txn->isRead = true;
         txn->address = state.indexStream.address + offset;
         txn->size = std::min(indexChunkBytes, total - offset);
@@ -197,13 +197,12 @@ Streamer::handleMemory(Cycle cycle)
             const u32 indexBytes = state.indexStream.wide ? 4 : 2;
             const u32 perChunk = indexChunkBytes / indexBytes;
             const u32 count = _batch->params.count;
-            const std::vector<u8>& bytes = txn->data;
             u32 i = chunk * perChunk;
             for (u32 off = 0;
-                 off + indexBytes <= bytes.size() && i < count;
+                 off + indexBytes <= txn->size && i < count;
                  off += indexBytes, ++i) {
                 u32 idx = 0;
-                std::memcpy(&idx, bytes.data() + off, indexBytes);
+                std::memcpy(&idx, txn->data.data() + off, indexBytes);
                 _indices[i] = idx;
             }
             _indexChunkArrived[chunk] = 1;
@@ -233,7 +232,7 @@ Streamer::handleMemory(Cycle cycle)
                 v->index = slot->index;
                 v->sequence = seq;
                 v->in = slot->in;
-                v->copyTrailFrom(*_batch);
+                v->setParent(*_batch);
                 _readyForShading.push_back(std::move(v));
                 --_fetchesInFlight;
             }
@@ -312,7 +311,7 @@ Streamer::dispatchVertices(Cycle cycle)
     for (u32 k = 0; k < _numStreams; ++k) {
         const u32 s = _streams[k];
         const VertexStream& vs = state.streams[s];
-        auto txn = _txns.acquire();
+        auto txn = std::make_shared<MemTransaction>();
         txn->isRead = true;
         txn->address = vs.address + index * vs.stride;
         txn->size = streamFormatBytes(vs.format);
@@ -332,7 +331,7 @@ Streamer::dispatchVertices(Cycle cycle)
         v->state = _batch->state;
         v->index = index;
         v->sequence = seq;
-        v->copyTrailFrom(*_batch);
+        v->setParent(*_batch);
         _readyForShading.push_back(std::move(v));
     } else {
         ++_fetchesInFlight;

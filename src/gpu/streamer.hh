@@ -26,7 +26,6 @@
 #include "gpu/link.hh"
 #include "gpu/memory_controller.hh"
 #include "sim/box.hh"
-#include "sim/object_pool.hh"
 #include "sim/ring_queue.hh"
 
 namespace attila::gpu
@@ -105,7 +104,6 @@ class Streamer : public sim::Box
     LinkRx<VertexObj> _fromShading;
     LinkTx _toAssembly;
     MemPort _mem;
-    sim::ObjectPool<MemTransaction> _txns;
 
     // Current batch.
     bool _active = false;

@@ -37,7 +37,7 @@ enum class MarkerKind : u8
  * A batch marker crosses boxes whose input and output links carry
  * different types (vertex -> triangle -> tile -> quad).  Each such
  * box forwards it as an object of its output type built from the
- * marker's WorkObject part, which copies the id, cookie trail, batch
+ * marker's WorkObject part, which copies the id, parent id, batch
  * id, state and marker kind: a link only ever holds its own type,
  * and traces still see one marker object end to end.
  */
@@ -166,28 +166,13 @@ class MemTransaction : public sim::DynamicObject
     bool isRead = true;
     u32 address = 0;
     u32 size = 0;            ///< Bytes, up to memMaxTransactionBytes.
-    std::vector<u8> data;    ///< Write payload / read result.
+    /** Write payload / read result; the first `size` bytes count. */
+    std::array<u8, memMaxTransactionBytes> data{};
     MemClient client = MemClient::Streamer;
     u64 tag = 0;             ///< Requester-private identifier.
     /** Host-side bookkeeping: bursts still in flight inside the
      * memory controller.  Not modeled state. */
     u32 hostBurstsLeft = 0;
-
-    /** Recycle hook for sim::ObjectPool: reset all fields but keep
-     * the payload vector's capacity, so steady-state transactions
-     * allocate nothing. */
-    void
-    poolReset()
-    {
-        resetDynamicState();
-        isRead = true;
-        address = 0;
-        size = 0;
-        data.clear();
-        client = MemClient::Streamer;
-        tag = 0;
-        hostBurstsLeft = 0;
-    }
 };
 
 using MemTransactionPtr = std::shared_ptr<MemTransaction>;
@@ -207,24 +192,6 @@ class TexRequest : public sim::DynamicObject
     RenderStatePtr state;
     /** Response payload. */
     std::array<emu::Vec4, 4> texels{};
-
-    /** Recycle hook for sim::ObjectPool: the shader units pool quad
-     * texture requests. */
-    void
-    poolReset()
-    {
-        resetDynamicState();
-        shaderId = 0;
-        threadTag = 0;
-        textureUnit = 0;
-        target = emu::TexTarget::Tex2D;
-        coords.fill(emu::Vec4());
-        active.fill(false);
-        lodBias = 0.0f;
-        projected = false;
-        state.reset();
-        texels.fill(emu::Vec4());
-    }
 };
 
 using TexRequestPtr = std::shared_ptr<TexRequest>;

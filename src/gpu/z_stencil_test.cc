@@ -273,7 +273,7 @@ ZStencilTest::sendHzUpdates(Cycle cycle)
 {
     auto& queue = _backing.hzUpdates;
     while (!queue.empty() && _hzUpdates.canSend(cycle)) {
-        auto update = _hzPool.acquire();
+        auto update = std::make_shared<HzUpdateObj>();
         update->tileIndex = queue.front().tileIndex;
         update->maxZ = queue.front().maxZ;
         _hzUpdates.send(cycle, std::move(update));

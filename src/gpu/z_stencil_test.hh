@@ -27,7 +27,6 @@
 #include "emu/z_compressor.hh"
 #include "gpu/rop_surface.hh"
 #include "sim/box.hh"
-#include "sim/object_pool.hh"
 #include "sim/ring_queue.hh"
 
 namespace attila::gpu
@@ -146,7 +145,6 @@ class ZStencilTest : public sim::Box
      * (~0u = no gate). */
     u32 _gateBatch = ~0u;
 
-    sim::ObjectPool<HzUpdateObj> _hzPool;
     sim::RingQueue<Delayed> _delayInterp;
     sim::RingQueue<Delayed> _delayRopc;
 

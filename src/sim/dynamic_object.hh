@@ -4,11 +4,11 @@
  * signals.
  *
  * Every object flowing between boxes derives from DynamicObject.  It
- * carries an identifier and a 'color', plus a cookie trail that
- * associates related objects into a multilevel hierarchy (e.g. a
- * memory access belongs to a fragment which belongs to a triangle
- * which belongs to a batch).  The event trace records the id, color
- * and innermost cookie of every object written into a signal
+ * carries an identifier and a 'color', plus the identifier of its
+ * parent, which associates related objects into a multilevel
+ * hierarchy (e.g. a memory access belongs to a fragment which belongs
+ * to a triangle which belongs to a batch).  The event trace records
+ * the id, color and parent id of every object written into a signal
  * (sim/event_trace.hh), which is how the Signal Trace Visualizer
  * follows work through the pipeline.
  */
@@ -18,12 +18,14 @@
 
 #include <atomic>
 #include <memory>
-#include <vector>
 
 #include "sim/types.hh"
 
 namespace attila::sim
 {
+
+/** Sentinel for "no object id / no parent". */
+inline constexpr u64 kNoTraceId = ~u64{0};
 
 class DynamicObject;
 
@@ -48,35 +50,11 @@ class DynamicObject
     u32 color() const { return _color; }
     void setColor(u32 color) { _color = color; }
 
-    /**
-     * Cookie trail: the identifiers of the ancestors of this object,
-     * outermost first.  copyTrailFrom() inherits a parent's trail plus
-     * the parent's own id, forming the multilevel hierarchy described
-     * in the paper.
-     */
-    const std::vector<u64>& cookies() const { return _cookies; }
-
-    /** Inherit @p parent's cookie trail and append the parent itself. */
-    void
-    copyTrailFrom(const DynamicObject& parent)
-    {
-        _cookies = parent._cookies;
-        _cookies.push_back(parent._id);
-    }
-
-    /**
-     * Reset the base-class state for pool recycling: a recycled
-     * object gets a fresh identity (so traces never conflate two
-     * logical objects) while the cookie trail keeps its heap buffer
-     * (clear(), not reallocation).
-     */
-    void
-    resetDynamicState()
-    {
-        _id = nextId();
-        _color = 0;
-        _cookies.clear();
-    }
+    /** The id of the object this one was derived from, or kNoTraceId
+     * for a root.  Following parents from a fragment leads to its
+     * triangle and then its batch. */
+    u64 parent() const { return _parent; }
+    void setParent(const DynamicObject& parent) { _parent = parent._id; }
 
   private:
     static u64
@@ -88,7 +66,7 @@ class DynamicObject
 
     u64 _id;
     u32 _color = 0;
-    std::vector<u64> _cookies;
+    u64 _parent = kNoTraceId;
 };
 
 } // namespace attila::sim

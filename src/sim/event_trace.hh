@@ -15,7 +15,7 @@
  *    decisions, one event per span when it closes — unit
  *    utilization timelines;
  *  - signal occupancy (SignalWrite), one event per object published
- *    into a wire, carrying the object's id and parent cookie so the
+ *    into a wire, carrying the object's id and parent id so the
  *    fragment→triangle→batch lineage survives into the trace;
  *  - cache transactions (CacheHit/CacheMiss) from the framebuffer and
  *    texture caches;
@@ -52,9 +52,6 @@ namespace attila::sim
 /** True when the event-trace hook sites are compiled in. */
 inline constexpr bool kEventTraceCompiled = ATTILA_TRACE_EVENTS != 0;
 
-/** Sentinel for "no object id / no parent". */
-inline constexpr u64 kNoTraceId = ~u64{0};
-
 /** Event type discriminator (u16 in the record). */
 enum class EventKind : u16 {
     Span = 1,       ///< Box active over [cycle, id); unit = box id.
@@ -74,7 +71,7 @@ struct TraceEvent
     u64 cycle;  ///< Simulated cycle of the event.
     u64 id;     ///< DynamicObject id (kNoTraceId when not applicable);
                 ///< a Span's exclusive end cycle.
-    u64 parent; ///< Innermost ancestor cookie (kNoTraceId when root).
+    u64 parent; ///< Parent object id (kNoTraceId when root).
     u32 arg;    ///< Kind-specific payload (color, address, slot).
     u16 unit;   ///< Registered unit id (box / signal / cache / shader).
     u16 kind;   ///< EventKind.
@@ -82,13 +79,6 @@ struct TraceEvent
 
 static_assert(sizeof(TraceEvent) == 32,
               "TraceEvent must stay a packed 32-byte record");
-
-/** Innermost ancestor cookie of @p obj, or kNoTraceId for roots. */
-inline u64
-traceParentOf(const DynamicObject& obj)
-{
-    return obj.cookies().empty() ? kNoTraceId : obj.cookies().back();
-}
 
 /**
  * A merged, self-describing snapshot of a trace: the four unit name

@@ -165,7 +165,7 @@ Signal::publish(Cycle cycle, DynamicObjectPtr obj)
         if (_eventTrace) [[unlikely]] {
             _eventTrace->emit(EventKind::SignalWrite, cycle,
                               _eventTraceId, obj->color(), obj->id(),
-                              traceParentOf(*obj));
+                              obj->parent());
         }
     }
 

@@ -146,7 +146,7 @@ TEST(PrimitiveAssembly, ForwardsBatchMarkersAsTriangleObjects)
         v->marker = kind;
         v->batchId = 7;
         v->state = std::make_shared<RenderState>();
-        v->copyTrailFrom(WorkObject()); // A non-empty trail.
+        v->setParent(WorkObject()); // Not a root.
         return v;
     };
     std::vector<VertexObjPtr> input{marker(MarkerKind::BatchStart)};
@@ -180,7 +180,7 @@ TEST(PrimitiveAssembly, ForwardsBatchMarkersAsTriangleObjects)
         ASSERT_NE(std::dynamic_pointer_cast<TriangleObj>(out), nullptr);
         EXPECT_EQ(out->marker, in->marker);
         EXPECT_EQ(out->id(), in->id());
-        EXPECT_EQ(out->cookies(), in->cookies());
+        EXPECT_EQ(out->parent(), in->parent());
         EXPECT_EQ(out->batchId, in->batchId);
         EXPECT_EQ(out->state, in->state);
     }

@@ -105,7 +105,7 @@ TEST(MemoryController, WriteThenReadRoundTrip)
 {
     McHarness h;
 
-    std::vector<u8> payload(256);
+    std::array<u8, memMaxTransactionBytes> payload;
     for (u32 i = 0; i < 256; ++i)
         payload[i] = static_cast<u8>(i ^ 0x5a);
 
@@ -749,21 +749,23 @@ TEST(FbCache, InvalidateAllCancelsInFlightFills)
     EXPECT_TRUE(refilled);
 }
 
-TEST(FbCache, SteadyStateMissesAllocateNothing)
+TEST(FbCache, SteadyStateMissesAllocateOncePerTransaction)
 {
-    // After a warm-up round, the cache recycles its pooled fill and
-    // writeback transactions: the pool's allocation counter must
-    // plateau even as misses keep streaming.
+    // A fill or writeback transaction carries its line inline, so
+    // once the cache's and the memory controller's queues have their
+    // storage, each transaction costs exactly one heap allocation
+    // (the object and its shared_ptr control block together).
     CacheHarness ch;
     u32 round = 0;
     u32 phase = 0;
-    u64 allocsAfterWarmup = 0;
+    u64 allocsAtRound2 = 0;
+    u64 allocsAtRound6 = 0;
     ch.step = [&](Cycle cycle) {
         if (round >= 6)
             return;
-        // Walk 8 sets' worth of lines, dirtying each: every round
-        // after the first evicts and refills, producing a steady
-        // miss + writeback stream.
+        // Walk all 64 lines, dirtying each: every round after the
+        // first evicts and refills the whole cache, 64 fills and 64
+        // writebacks.
         const u32 addr = (round & 1 ? 0x20000 : 0) + phase * 256;
         if (ch.cache.access(cycle, addr, true) == CacheAccess::Hit) {
             ch.cache.markDirty(addr);
@@ -771,12 +773,14 @@ TEST(FbCache, SteadyStateMissesAllocateNothing)
                 phase = 0;
                 ++round;
                 if (round == 2)
-                    allocsAfterWarmup = ch.cache.txnAllocations();
+                    allocsAtRound2 = gAllocations.load();
+                if (round == 6)
+                    allocsAtRound6 = gAllocations.load();
             }
         }
     };
     ch.run(60000);
     ASSERT_GE(round, 6u);
-    EXPECT_GT(ch.cache.txnAllocations(), 0u);
-    EXPECT_EQ(ch.cache.txnAllocations(), allocsAfterWarmup);
+    // Rounds 2 to 5: four rounds of 64 fills and 64 writebacks.
+    EXPECT_EQ(allocsAtRound6 - allocsAtRound2, 4u * (64 + 64));
 }

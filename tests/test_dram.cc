@@ -6,6 +6,7 @@
  * serial and parallel engines.
  */
 
+#include <algorithm>
 #include <cstdlib>
 #include <functional>
 #include <gtest/gtest.h>
@@ -227,7 +228,7 @@ TEST(BankedDram, WriteRecoveryDelaysConflictPrecharge)
                 txn->address = phase == 0 ? 0 : rowStride;
                 txn->size = 64;
                 if (!txn->isRead)
-                    txn->data.assign(64, 0xab);
+                    std::fill_n(txn->data.begin(), 64, u8{0xab});
                 h.client->mem.request(cycle, std::move(txn));
                 ++phase;
             }

@@ -11,7 +11,6 @@
 #include "sim/box.hh"
 #include "sim/event_trace.hh"
 #include "sim/logging.hh"
-#include "sim/object_pool.hh"
 #include "sim/signal.hh"
 #include "sim/signal_binder.hh"
 #include "sim/simulator.hh"
@@ -159,32 +158,6 @@ TEST(SignalBinder, ReportsDanglingSignals)
     NullBox a(binder, stats, "a");
     a.addOutput("wire", 1, 1);
     EXPECT_THROW(binder.checkConnectivity(), FatalError);
-}
-
-TEST(ObjectPool, RecyclesStorage)
-{
-    ObjectPool<DynamicObject> pool;
-    void* first = nullptr;
-    {
-        auto obj = pool.acquire();
-        first = obj.get();
-    }
-    EXPECT_EQ(pool.freeCount(), 1u);
-    auto again = pool.acquire();
-    EXPECT_EQ(again.get(), first);
-    EXPECT_EQ(pool.allocated(), 1u);
-    EXPECT_EQ(pool.recycled(), 1u);
-}
-
-TEST(ObjectPool, SurvivesPoolDeathWithLiveObjects)
-{
-    std::shared_ptr<DynamicObject> survivor;
-    {
-        ObjectPool<DynamicObject> pool;
-        survivor = pool.acquire();
-    }
-    // Releasing after the pool is gone must not crash.
-    survivor.reset();
 }
 
 TEST(Statistics, TotalsAndWindows)
@@ -364,16 +337,16 @@ TEST(Statistics, ConcurrentGetAndFind)
     }
 }
 
-TEST(DynamicObject, CookieTrail)
+TEST(DynamicObject, ParentChain)
 {
     DynamicObject parent;
     DynamicObject child;
-    child.copyTrailFrom(parent);
+    child.setParent(parent);
     DynamicObject grandchild;
-    grandchild.copyTrailFrom(child);
-    ASSERT_EQ(grandchild.cookies().size(), 2u);
-    EXPECT_EQ(grandchild.cookies()[0], parent.id());
-    EXPECT_EQ(grandchild.cookies()[1], child.id());
+    grandchild.setParent(child);
+    EXPECT_EQ(parent.parent(), kNoTraceId);
+    EXPECT_EQ(child.parent(), parent.id());
+    EXPECT_EQ(grandchild.parent(), child.id());
 }
 
 // ===== Two-phase write buffering ===================================

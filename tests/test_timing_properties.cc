@@ -6,6 +6,7 @@
  * the thread window's latency-hiding advantage.
  */
 
+#include <algorithm>
 #include <cstring>
 #include <gtest/gtest.h>
 
@@ -196,7 +197,7 @@ TEST(TimingProperties, ReadWriteTurnaroundVisible)
                 txn->address = 0x1000; // Same page throughout.
                 txn->size = 64;
                 if (!txn->isRead)
-                    txn->data.assign(64, 0xab);
+                    std::fill_n(txn->data.begin(), 64, u8{0xab});
                 mem.request(cycle, txn);
                 ++sent;
             }
