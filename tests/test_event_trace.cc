@@ -371,8 +371,8 @@ TEST(EventTrace, ThreadAndCacheEventsCarryLineage)
     EXPECT_EQ(begins, ends); // The run drained; every slot retired.
 
     // Shader work descends from batches: thread events must carry a
-    // parent cookie, and the signal stream must contain objects with
-    // ancestry (the id/cookie hierarchy survived into the trace).
+    // parent id, and the signal stream must contain objects with
+    // ancestry (the id/parent hierarchy survived into the trace).
     bool threadWithParent = false;
     bool writeWithParent = false;
     for (const TraceEvent& ev : data.events) {

@@ -107,7 +107,7 @@ TEST(System, EventTraceFromFullRun)
         gpu.simulator().finishEventTrace();
 
     // Per-signal SignalWrite counts, plus whether any fragment tile
-    // still points back at its triangle through the parent cookie.
+    // still points back at its triangle through the parent id.
     std::map<std::string, u64> writes;
     bool foundLineage = false;
     u64 records = 0;
