@@ -40,14 +40,16 @@ class StreamClient : public sim::Box
     {
         mem.init(*this, binder, "mc.stream",
                  config.memoryRequestQueue);
+        wake();
     }
 
-    void
+    sim::Next
     update(Cycle cycle) override
     {
         mem.clock(cycle);
         if (tick)
             tick(cycle);
+        return sim::Next::runs();
     }
 
     gpu::MemPort mem;

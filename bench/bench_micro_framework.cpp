@@ -44,9 +44,13 @@ struct ClockLoopModel
                 _in = input(in, 1, 1);
             if (!out.empty())
                 _out = output(out, 1, 1);
+            if (!_stateless)
+                wake();
         }
 
-        void
+        /** Stateless relays carry no work between cycles: with quiet
+         * inputs their update() is a no-op, so they may sleep. */
+        sim::Next
         update(Cycle cycle) override
         {
             sim::DynamicObjectPtr obj;
@@ -59,14 +63,7 @@ struct ClockLoopModel
                 if (_out && _out->canWrite(cycle))
                     _out->write(cycle, std::move(obj));
             }
-        }
-
-        /** Stateless relays carry no work between cycles: with quiet
-         * inputs their update() is a no-op, so they may be skipped. */
-        bool
-        busy() const override
-        {
-            return !_stateless;
+            return _stateless ? sim::Next::sleeps() : sim::Next::runs();
         }
 
         u64
@@ -103,7 +100,7 @@ struct ClockLoopModel
 /**
  * A bursty producer feeding a chain of stateless relays: emits
  * @p burstLen objects back to back, then sleeps for the rest of a
- * @p period-cycle window via wakeAt().  Between bursts the whole
+ * @p period-cycle window until its next burst.  Between bursts the whole
  * model is provably idle, so an idle-skipping scheduler fast-forwards
  * straight to the next burst.  Used for the idle-skip A/B wall-clock
  * comparison.
@@ -121,10 +118,10 @@ struct IdlePhaseModel
               _burstLen(burstLen), _period(period)
         {
             _out = output(out, 1, 1);
-            wakeAt(0); // First burst fires at cycle 0.
+            wake(); // First burst fires at cycle 0.
         }
 
-        void
+        sim::Next
         update(Cycle cycle) override
         {
             if (_remaining == 0 && _bursts > 0 &&
@@ -136,15 +133,12 @@ struct IdlePhaseModel
             if (_remaining > 0 && _out->canWrite(cycle)) {
                 _out->write(cycle,
                             std::make_shared<sim::DynamicObject>());
-                if (--_remaining == 0 && _bursts > 0)
-                    wakeAt(_nextBurst);
+                --_remaining;
             }
-        }
-
-        bool
-        busy() const override
-        {
-            return _remaining > 0;
+            if (_remaining > 0)
+                return sim::Next::runs();
+            return _bursts > 0 ? sim::Next::until(_nextBurst)
+                               : sim::Next::sleeps();
         }
 
         bool

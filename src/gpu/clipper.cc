@@ -20,16 +20,21 @@ Clipper::Clipper(sim::SignalBinder& binder,
               config.setupQueue);
 }
 
-void
+sim::Next
 Clipper::update(Cycle cycle)
 {
     _in.clock(cycle);
     _out.clock(cycle);
+    if (!_in.empty() && _out.canSend(cycle))
+        clip(cycle);
+    // A queued triangle moves only with an output credit.
+    return !_in.empty() && _out.credits() > 0 ? sim::Next::runs()
+                                              : sim::Next::sleeps();
+}
 
-    if (_in.empty())
-        return;
-    if (!_out.canSend(cycle))
-        return;
+void
+Clipper::clip(Cycle cycle)
+{
     _statBusy.inc();
 
     TriangleObjPtr tri = _in.pop(cycle);

@@ -23,16 +23,13 @@ class Clipper : public sim::Box
     Clipper(sim::SignalBinder& binder, sim::StatisticManager& stats,
             const GpuConfig& config);
 
-    void update(Cycle cycle) override;
+    sim::Next update(Cycle cycle) override;
     bool empty() const override;
-    /** A queued triangle moves only with an output credit. */
-    bool
-    busy() const override
-    {
-        return !_in.empty() && _out.credits() > 0;
-    }
 
   private:
+    /** Pass the head triangle on, or reject it. */
+    void clip(Cycle cycle);
+
     LinkRx<TriangleObj> _in;
     LinkTx _out;
 

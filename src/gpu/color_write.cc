@@ -203,7 +203,7 @@ ColorWrite::tryRetire(Cycle cycle)
     }
 }
 
-void
+sim::Next
 ColorWrite::update(Cycle cycle)
 {
     _earlyIn.clock(cycle);
@@ -215,12 +215,12 @@ ColorWrite::update(Cycle cycle)
         _surface.clockCache(cycle);
     }
     tryRetire(cycle);
-    _busy = progressPossible();
-    wakeAt(_surface.clearDoneAt());
     _statQuads.commit();
     _statFragments.commit();
     _statBlended.commit();
     _statBusy.commit();
+    return progressPossible() ? sim::Next::runs()
+                              : sim::Next::until(_surface.clearDoneAt());
 }
 
 bool

@@ -46,11 +46,8 @@ class ColorWrite : public sim::Box
                sim::StatisticManager& stats, const GpuConfig& config,
                u32 unit, emu::GpuMemory& memory);
 
-    void update(Cycle cycle) override;
+    sim::Next update(Cycle cycle) override;
     bool empty() const override;
-    /** progressPossible() as the last update left the unit (only
-     * update() changes its state). */
-    bool busy() const override { return _busy; }
 
     /** The colour surface's block states, through which the DAC
      * resolves the tiles this unit owns. */
@@ -67,8 +64,8 @@ class ColorWrite : public sim::Box
 
   private:
     /** A control step, a batch marker, the current batch's next
-     * quad, cache traffic or a retire can move.  A clear ends on a
-     * wake at its end. */
+     * quad, cache traffic or a retire can move.  A clear ends at
+     * clearDoneAt(). */
     bool progressPossible() const;
 
     void processQuads(Cycle cycle);
@@ -99,8 +96,6 @@ class ColorWrite : public sim::Box
     bool _endEarly = false; ///< Early-path BatchEnd popped.
     bool _endLate = false;  ///< Late-path BatchEnd popped.
     sim::RingQueue<u32> _retireQueue;
-
-    bool _busy = false;
 
     sim::BatchedStat _statQuads;
     sim::BatchedStat _statFragments;

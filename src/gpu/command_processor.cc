@@ -58,6 +58,7 @@ CommandProcessor::submit(const CommandList& list)
 {
     for (const Command& cmd : list)
         _pending.push_back(cmd);
+    wake();
 }
 
 u32
@@ -294,7 +295,7 @@ CommandProcessor::continueCommand(Cycle cycle)
     }
 }
 
-void
+sim::Next
 CommandProcessor::update(Cycle cycle)
 {
     _statBusy.tickFrom(cycle, 0);
@@ -342,8 +343,36 @@ CommandProcessor::update(Cycle cycle)
     // Asleep, the unit still counts a busy cycle per cycle while
     // commands are pending.
     _statBusy.tickFrom(cycle + 1, !_pending.empty());
-    if (_phase == Phase::BusTransfer)
-        wakeAt(_busyUntil);
+
+    // Progress without new input: a command that can start, buffer
+    // bytes to request, or a barrier whose broadcast has credit.  A
+    // bus transfer ends at _busyUntil; retires, acks and credits
+    // arrive as inputs.
+    bool moves = true;
+    switch (_phase) {
+      case Phase::Idle:
+        moves = !_pending.empty() &&
+                (_pending.front().op != CommandOp::Draw ||
+                 canIssueDraw());
+        break;
+      case Phase::BusTransfer:
+        return sim::Next::until(_busyUntil);
+      case Phase::MemWrite:
+        // A buffer with no bytes left (an empty one, too) completes
+        // on the first MemWrite update.
+        moves = memWriteDone() ||
+                (memBytesLeft() && _mem.requestCredits() > 0) ||
+                _mem.hasResponse();
+        break;
+      case Phase::DrainWait:
+        moves = _inflightBatches == 0 && canBroadcast(barrierKind());
+        break;
+      case Phase::CtrlWait:
+        moves = _ctrlAcksPending == 0 &&
+                (!_swapAfterCtrl || canBroadcast(ControlKind::DumpFrame));
+        break;
+    }
+    return moves ? sim::Next::runs() : sim::Next::sleeps();
 }
 
 ControlKind
@@ -376,33 +405,6 @@ bool
 CommandProcessor::memWriteDone() const
 {
     return !memBytesLeft() && _memAcksPending == 0;
-}
-
-bool
-CommandProcessor::busy() const
-{
-    switch (_phase) {
-      case Phase::Idle:
-        if (_pending.empty())
-            return false;
-        return _pending.front().op != CommandOp::Draw ||
-               canIssueDraw();
-      case Phase::BusTransfer:
-        return false;
-      case Phase::MemWrite:
-        // A buffer with no bytes left (an empty one, too) completes
-        // on the first MemWrite update.
-        return memWriteDone() ||
-               (memBytesLeft() && _mem.requestCredits() > 0) ||
-               _mem.hasResponse();
-      case Phase::DrainWait:
-        return _inflightBatches == 0 && canBroadcast(barrierKind());
-      case Phase::CtrlWait:
-        return _ctrlAcksPending == 0 &&
-               (!_swapAfterCtrl ||
-                canBroadcast(ControlKind::DumpFrame));
-    }
-    return true;
 }
 
 bool

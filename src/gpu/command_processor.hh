@@ -43,15 +43,10 @@ class CommandProcessor : public sim::Box
                      sim::StatisticManager& stats,
                      const GpuConfig& config);
 
-    void update(Cycle cycle) override;
+    sim::Next update(Cycle cycle) override;
     bool empty() const override;
-    /** Progress without new input: a command that can start, buffer
-     * bytes to request, or a barrier whose broadcast has credit.  A
-     * bus transfer waits on a wake at its end; retires, acks and
-     * credits arrive as inputs. */
-    bool busy() const override;
 
-    /** Append a command stream for execution. */
+    /** Append a command stream for execution; wakes the unit. */
     void submit(const CommandList& list);
 
     /** Batches issued so far (diagnostics). */

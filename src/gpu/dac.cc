@@ -129,7 +129,7 @@ Dac::startDump(Cycle cycle)
     _dumping = true;
 }
 
-void
+sim::Next
 Dac::update(Cycle cycle)
 {
     _statBusy.tickFrom(cycle, 0);
@@ -149,16 +149,14 @@ Dac::update(Cycle cycle)
         startDump(cycle);
     // A dump waiting on its reads counts a busy cycle per cycle.
     _statBusy.tickFrom(cycle + 1, _dumping);
-}
 
-bool
-Dac::busy() const
-{
-    if (!_dumping)
-        return !_ctrl.empty();
-    if (_nextTile < _totalTiles)
-        return _mem.requestCredits() > 0;
-    return _tilesLeft == 0 && _ack.credits() > 0;
+    // A dump step can move: a tile read with a request credit, or the
+    // final ack with an ack credit.
+    const bool moves = !_dumping ? !_ctrl.empty()
+                       : _nextTile < _totalTiles
+                           ? _mem.requestCredits() > 0
+                           : _tilesLeft == 0 && _ack.credits() > 0;
+    return moves ? sim::Next::runs() : sim::Next::sleeps();
 }
 
 bool

@@ -54,11 +54,8 @@ class Dac : public sim::Box
         const GpuConfig& config, const emu::GpuMemory& memory,
         std::vector<const RopBacking*> colorBackings);
 
-    void update(Cycle cycle) override;
+    sim::Next update(Cycle cycle) override;
     bool empty() const override;
-    /** A dump step can move: a tile read with a request credit, or
-     * the final ack with an ack credit. */
-    bool busy() const override;
 
     const std::vector<FrameImage>& frames() const { return _frames; }
 

@@ -512,7 +512,7 @@ FragmentFifo::commitFragments(Cycle cycle)
     }
 }
 
-void
+sim::Next
 FragmentFifo::update(Cycle cycle)
 {
     _statBusy.tickFrom(cycle, 0);
@@ -541,14 +541,8 @@ FragmentFifo::update(Cycle cycle)
     acceptFragments(cycle);
     issue(cycle);
 
-    // Whether each step could go next cycle without new input: at
-    // the end of an update, a link's canSend(cycle + 1) is its credit
-    // test.
     const Admission v = vertexStep().admission;
     const Admission f = fragmentStep().admission;
-    _busy = v == Admission::Admits || f == Admission::Admits ||
-            vertexCanSend(cycle + 1) || vertexHeadCommits() ||
-            fragmentHeadCommits(cycle + 1) || issuePossible(cycle + 1);
     // Asleep, the unit counts what each blocked update would: a busy
     // cycle while the window holds entries, and every admission the
     // window or the register pool turns down.
@@ -561,6 +555,14 @@ FragmentFifo::update(Cycle cycle)
     _statRegistersFullCycles.tickFrom(
         cycle + 1, u64{v == Admission::RegistersFull} +
                        u64{f == Admission::RegistersFull});
+    // Whether an entry can commit, an input be admitted or a thread
+    // issue next cycle without new input: at the end of an update, a
+    // link's canSend(cycle + 1) is its credit test.
+    const bool moves =
+        v == Admission::Admits || f == Admission::Admits ||
+        vertexCanSend(cycle + 1) || vertexHeadCommits() ||
+        fragmentHeadCommits(cycle + 1) || issuePossible(cycle + 1);
+    return moves ? sim::Next::runs() : sim::Next::sleeps();
 }
 
 bool

@@ -44,12 +44,8 @@ class FragmentFifo : public sim::Box
                  sim::StatisticManager& stats,
                  const GpuConfig& config);
 
-    void update(Cycle cycle) override;
+    sim::Next update(Cycle cycle) override;
     bool empty() const override;
-    /** Set by each update: an entry to commit, an input to admit or
-     * a thread to issue.  Shader results and credits arrive as
-     * inputs. */
-    bool busy() const override { return _busy; }
 
   private:
     enum class EntryKind : u8 { VertexGroup, Quad, Marker };
@@ -173,8 +169,6 @@ class FragmentFifo : public sim::Box
 
     /** Committed vertices waiting for the (narrower) output link. */
     sim::RingQueue<VertexObjPtr> _vertexSendQueue;
-
-    bool _busy = false;
 
     sim::Statistic& _statThreadsIssued;
     sim::Statistic& _statQuadsCommitted;

@@ -98,46 +98,44 @@ FragmentGenerator::startTriangle(Cycle cycle)
     }
 }
 
-void
+sim::Next
 FragmentGenerator::update(Cycle cycle)
 {
     _in.clock(cycle);
     _out.clock(cycle);
 
     startTriangle(cycle);
-    if (!_current)
-        return;
-
-    // Generate up to tilesPerCycle tiles.
-    u32 emitted = 0;
-    for (u32 n = 0; n < _config.tilesPerCycle && !_tiles.empty();) {
-        if (!_out.canSend(cycle))
-            break;
-        auto [x, y] = _tiles.front();
-        _tiles.pop_front();
-        TileObjPtr tile = buildTile(x, y);
-        if (tile->coverage == 0)
-            continue; // Empty candidate tile: costs nothing.
-        _statTiles.inc();
-        _statFragments.inc(
-            static_cast<u64>(__builtin_popcountll(tile->coverage)));
-        _out.send(cycle, tile);
-        ++n;
-        ++emitted;
+    if (_current) {
+        // Generate up to tilesPerCycle tiles.
+        u32 emitted = 0;
+        for (u32 n = 0; n < _config.tilesPerCycle && !_tiles.empty();) {
+            if (!_out.canSend(cycle))
+                break;
+            auto [x, y] = _tiles.front();
+            _tiles.pop_front();
+            TileObjPtr tile = buildTile(x, y);
+            if (tile->coverage == 0)
+                continue; // Empty candidate tile: costs nothing.
+            _statTiles.inc();
+            _statFragments.inc(
+                static_cast<u64>(__builtin_popcountll(tile->coverage)));
+            _out.send(cycle, tile);
+            ++n;
+            ++emitted;
+        }
+        if (emitted > 0)
+            _statBusy.inc();
+        if (_tiles.empty())
+            _current.reset();
     }
-    if (emitted > 0)
-        _statBusy.inc();
-    if (_tiles.empty())
-        _current.reset();
-}
 
-bool
-FragmentGenerator::busy() const
-{
-    if (_current)
-        return _out.credits() > 0;
-    return !_in.empty() &&
-           (!_in.front()->isMarker() || _out.credits() > 0);
+    // Tiles (and batch markers) move only with an output credit; a
+    // queued triangle starts without one.
+    const bool moves =
+        _current ? _out.credits() > 0
+                 : !_in.empty() &&
+                       (!_in.front()->isMarker() || _out.credits() > 0);
+    return moves ? sim::Next::runs() : sim::Next::sleeps();
 }
 
 bool

@@ -31,11 +31,8 @@ class FragmentGenerator : public sim::Box
                       sim::StatisticManager& stats,
                       const GpuConfig& config);
 
-    void update(Cycle cycle) override;
+    sim::Next update(Cycle cycle) override;
     bool empty() const override;
-    /** Tiles (and batch markers) move only with an output credit; a
-     * queued triangle starts without one. */
-    bool busy() const override;
 
   private:
     void startTriangle(Cycle cycle);

@@ -195,7 +195,7 @@ HierarchicalZ::processTiles(Cycle cycle)
     }
 }
 
-void
+sim::Next
 HierarchicalZ::update(Cycle cycle)
 {
     _statBusy.tickFrom(cycle, 0);
@@ -217,26 +217,27 @@ HierarchicalZ::update(Cycle cycle)
     _statCulled.commit();
     _statQuads.commit();
     _statBusy.commit();
-}
 
-bool
-HierarchicalZ::busy() const
-{
+    // A control message, a quad or a tile can move: a clear ack, a
+    // quad and a marker broadcast wait for their credits.
     if (!_ctrl.empty() &&
         (_ctrl.front()->kind != ControlKind::ClearZStencil ||
          _ack.credits() > 0))
-        return true;
-    if (!_pendingQuads.empty())
-        return _toRopz[ropOf(*_pendingQuads.front())]->credits() > 0;
+        return sim::Next::runs();
+    if (!_pendingQuads.empty()) {
+        return _toRopz[ropOf(*_pendingQuads.front())]->credits() > 0
+                   ? sim::Next::runs()
+                   : sim::Next::sleeps();
+    }
     if (_in.empty())
-        return false;
+        return sim::Next::sleeps();
     if (!_in.front()->isMarker())
-        return true;
+        return sim::Next::runs();
     for (const auto& out : _toRopz) {
         if (out->credits() == 0)
-            return false;
+            return sim::Next::sleeps();
     }
-    return true;
+    return sim::Next::runs();
 }
 
 bool

@@ -39,11 +39,8 @@ class HierarchicalZ : public sim::Box
                   sim::StatisticManager& stats,
                   const GpuConfig& config);
 
-    void update(Cycle cycle) override;
+    sim::Next update(Cycle cycle) override;
     bool empty() const override;
-    /** A control message, a quad or a tile can move: a clear ack, a
-     * quad and a marker broadcast wait for their credits. */
-    bool busy() const override;
 
     /** Quantize a depth to the 8-bit HZ scale (round up = far). */
     static u8

@@ -159,7 +159,7 @@ Interpolator::drain(Cycle cycle)
     }
 }
 
-void
+sim::Next
 Interpolator::update(Cycle cycle)
 {
     for (auto& rx : _in)
@@ -168,22 +168,21 @@ Interpolator::update(Cycle cycle)
 
     drain(cycle);
     acceptQuads(cycle);
-    if (!_delay.empty() && _out.credits() > 0)
-        wakeAt(_delay.front().readyAt);
-}
 
-bool
-Interpolator::busy() const
-{
-    // acceptQuads() scans every input, so any head that fits moves.
-    if (_delay.size() >= 2 * _config.fragmentFifoQueue)
-        return false;
-    for (const auto& rx : _in) {
-        if (!rx->empty() &&
-            (!rx->front()->isMarker() || markerComplete(*rx->front())))
-            return true;
+    // An input head can enter the delay pipeline: acceptQuads() scans
+    // every input, so any head that fits moves.
+    if (_delay.size() < 2 * _config.fragmentFifoQueue) {
+        for (const auto& rx : _in) {
+            if (!rx->empty() && (!rx->front()->isMarker() ||
+                                 markerComplete(*rx->front())))
+                return sim::Next::runs();
+        }
     }
-    return false;
+    // The delay head leaves at its ready cycle, or on a returned
+    // credit.
+    return !_delay.empty() && _out.credits() > 0
+               ? sim::Next::until(_delay.front().readyAt)
+               : sim::Next::sleeps();
 }
 
 bool

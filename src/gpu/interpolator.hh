@@ -31,11 +31,8 @@ class Interpolator : public sim::Box
                  sim::StatisticManager& stats,
                  const GpuConfig& config);
 
-    void update(Cycle cycle) override;
+    sim::Next update(Cycle cycle) override;
     bool empty() const override;
-    /** An input head can enter the delay pipeline.  Its head leaves
-     * on a wake at its ready cycle, or on a returned credit. */
-    bool busy() const override;
 
     /** Interpolate the inputs of @p quad in place (also used by unit
      * tests). */

@@ -294,7 +294,7 @@ MemoryController::sendResponses(Cycle cycle)
     }
 }
 
-void
+sim::Next
 MemoryController::update(Cycle cycle)
 {
     acceptRequests(cycle);
@@ -302,21 +302,20 @@ MemoryController::update(Cycle cycle)
     scheduleChannels(cycle);
     sendResponses(cycle);
     commitStats();
-    _busy = progressPossible();
-    for (const Channel& ch : _channels) {
-        if (ch.hasInflight)
-            wakeAt(ch.busyUntil);
-    }
-}
-
-bool
-MemoryController::progressPossible() const
-{
+    // A completed transaction can go back to a client with a response
+    // credit.  Every update schedules each free channel that has
+    // bursts queued, and an in-flight burst completes at its
+    // channel's busyUntil.
     for (const auto& client : _clients) {
         if (!client->completed.empty() && client->resp.credits() > 0)
-            return true;
+            return sim::Next::runs();
     }
-    return false;
+    Cycle wake = sim::NoWake;
+    for (const Channel& ch : _channels) {
+        if (ch.hasInflight)
+            wake = std::min(wake, ch.busyUntil);
+    }
+    return sim::Next::until(wake);
 }
 
 void

@@ -122,11 +122,8 @@ class MemoryController : public sim::Box
                      const GpuConfig& config, emu::GpuMemory& memory,
                      std::vector<std::string> client_ports);
 
-    void update(Cycle cycle) override;
+    sim::Next update(Cycle cycle) override;
     bool empty() const override;
-    /** progressPossible() as the last update left the unit (only
-     * update() changes its state). */
-    bool busy() const override { return _busy; }
 
     /** Total bytes transferred (reads + writes). */
     u64 totalBytes() const { return _totalBytes; }
@@ -140,12 +137,6 @@ class MemoryController : public sim::Box
     u64 activates() const { return _statActivates.liveTotal(); }
 
   private:
-    /** A completed transaction can go back to a client with a
-     * response credit.  Every update schedules each free channel
-     * that has bursts queued, and an in-flight burst completes on a
-     * wake at its channel's busyUntil. */
-    bool progressPossible() const;
-
     struct Burst
     {
         MemTransactionPtr txn;
@@ -256,8 +247,6 @@ class MemoryController : public sim::Box
     u32 _chanMask = 0;
     u32 _pageShift = 0;
     u32 _bpcShift = 0;
-
-    bool _busy = false;
 
     sim::BatchedStat _statReadBytes;
     sim::BatchedStat _statWriteBytes;

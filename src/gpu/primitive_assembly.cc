@@ -127,7 +127,7 @@ PrimitiveAssembly::emitSecondTriangle(Cycle cycle)
     _pendingSecond = false;
 }
 
-void
+sim::Next
 PrimitiveAssembly::update(Cycle cycle)
 {
     _statBusy.tickFrom(cycle, 0);
@@ -146,6 +146,13 @@ PrimitiveAssembly::update(Cycle cycle)
     }
     // A vertex waiting for a credit counts a busy cycle per cycle.
     _statBusy.tickFrom(cycle + 1, !_pendingSecond && !_in.empty());
+    // Waits only for an output credit: the second triangle of a
+    // quad, a batch marker, or the vertex that completes a triangle.
+    const bool moves =
+        _pendingSecond
+            ? _out.credits() > 0
+            : !_in.empty() && (!headNeedsCredit() || _out.credits() > 0);
+    return moves ? sim::Next::runs() : sim::Next::sleeps();
 }
 
 bool
@@ -158,14 +165,6 @@ PrimitiveAssembly::headNeedsCredit() const
     const bool quads = _primitive == Primitive::Quads ||
                        _primitive == Primitive::QuadStrip;
     return _window.size() == (quads ? 3u : 2u);
-}
-
-bool
-PrimitiveAssembly::busy() const
-{
-    if (_pendingSecond)
-        return _out.credits() > 0;
-    return !_in.empty() && (!headNeedsCredit() || _out.credits() > 0);
 }
 
 bool

@@ -26,12 +26,8 @@ class PrimitiveAssembly : public sim::Box
                       sim::StatisticManager& stats,
                       const GpuConfig& config);
 
-    void update(Cycle cycle) override;
+    sim::Next update(Cycle cycle) override;
     bool empty() const override;
-    /** Waits only for an output credit: the second triangle of a
-     * quad, a batch marker, or the vertex that completes a
-     * triangle. */
-    bool busy() const override;
 
   private:
     /** The head of the input needs an output credit to move. */

@@ -149,7 +149,7 @@ class RopSurface
     {
         return _phase == Phase::Clearing && _ack.credits() > 0
                    ? _doneAt
-                   : sim::Box::NoWake;
+                   : sim::NoWake;
     }
 
     /** clockCache() has fills or writebacks to move. */

@@ -314,7 +314,7 @@ ShaderUnit::execute(Cycle cycle, u32 slot)
     }
 }
 
-void
+sim::Next
 ShaderUnit::update(Cycle cycle)
 {
     _statBusy.tickFrom(cycle, 0);
@@ -359,21 +359,18 @@ ShaderUnit::update(Cycle cycle)
         }
     }
 
-    const s32 slot = selectThread(cycle);
-    if (slot >= 0) {
+    if (const s32 slot = selectThread(cycle); slot >= 0) {
         _statBusy.inc();
         execute(cycle, static_cast<u32>(slot));
     }
-    prepareSleep(cycle);
-}
 
-void
-ShaderUnit::prepareSleep(Cycle cycle)
-{
-    // Ask selectThread()'s and execute()'s readiness() about the next
-    // cycle without new input.  The thread window selects one ready
-    // thread per cycle in rotation, so the unit can progress when any
-    // ready thread can; the in-order queue looks at the oldest only.
+    // The next step: ask selectThread()'s and execute()'s readiness()
+    // about the next cycle without new input.  A finished thread
+    // needs a result credit; a thread waits for its source temps
+    // until they are readable; texture results and credits arrive as
+    // inputs.  The thread window selects one ready thread per cycle
+    // in rotation, so the unit can progress when any ready thread
+    // can; the in-order queue looks at the oldest only.
     const Cycle next = cycle + 1;
     const bool inOrder =
         _config.scheduling == ShaderScheduling::InOrderQueue;
@@ -383,7 +380,7 @@ ShaderUnit::prepareSleep(Cycle cycle)
     bool anyFinished = false;
     bool anyTexWait = false;
     bool anyReady = false;
-    Cycle wake = NoWake;
+    Cycle wake = sim::NoWake;
     for (u32 i = 0; i < _activeSlots.size(); ++i) {
         const u32 slot = _activeSlots[i];
         const ThreadSched& sched = _sched[slot];
@@ -405,21 +402,20 @@ ShaderUnit::prepareSleep(Cycle cycle)
             anyReady = true;
             if (!sched.next || !sched.next->isTexture || texCredit) {
                 // Clocked next cycle: that update switches the ticks
-                // off and sets its own wake, so the scan can stop
+                // off and states its own step, so the scan can stop
                 // here.
-                _busy = true;
-                return;
+                return sim::Next::runs();
             }
             break;
         }
     }
-    _busy = anyFinished && _out.credits() > 0;
-    wakeAt(wake);
     // Asleep, a ready thread stalled on the texture link still counts
     // a busy cycle; with none ready, a thread waiting for a texture
     // counts a stall cycle.
     _statBusy.tickFrom(next, anyReady);
     _statStallTex.tickFrom(next, anyTexWait && (inOrder || !anyReady));
+    return anyFinished && _out.credits() > 0 ? sim::Next::runs()
+                                             : sim::Next::until(wake);
 }
 
 bool

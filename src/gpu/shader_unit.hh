@@ -57,13 +57,8 @@ class ShaderUnit : public sim::Box
                sim::StatisticManager& stats, const GpuConfig& config,
                u32 unit, bool vertex_only);
 
-    void update(Cycle cycle) override;
+    sim::Next update(Cycle cycle) override;
     bool empty() const override;
-    /** Set by each update: a finished thread with a result credit,
-     * or a ready thread whose next instruction can execute.  A
-     * thread waits for its source temps on a wake; texture results
-     * and credits arrive as inputs. */
-    bool busy() const override { return _busy; }
 
     /** Wire thread-slot lifecycle events (shader unit name = box
      * name, matching the .threads statistic). */
@@ -107,7 +102,7 @@ class ShaderUnit : public sim::Box
     };
 
     /** What a thread can do at a cycle: the one readiness test
-     * behind selectThread(), execute() and prepareSleep(). */
+     * behind selectThread(), execute() and update()'s next step. */
     enum class Readiness : u8
     {
         TexWait,  ///< Blocked on a texture response.
@@ -124,10 +119,6 @@ class ShaderUnit : public sim::Box
     bool sendResult(Cycle cycle, Thread& thread);
     Readiness readiness(u32 slot, Cycle cycle);
     void refreshDeps(const Thread& thread, ThreadSched& sched) const;
-    /** Set busy(), the wake for the next source temp and the ticks a
-     * blocked update would count, from the state @p cycle's update
-     * leaves. */
-    void prepareSleep(Cycle cycle);
 
     const GpuConfig& _config;
     const u32 _unit;
@@ -157,7 +148,6 @@ class ShaderUnit : public sim::Box
     /** The last cycle update() ran (to advance _rrNext over sleeping
      * cycles). */
     Cycle _lastUpdate = 0;
-    bool _busy = false;
 
     sim::Statistic& _statInstructions;
     sim::Statistic& _statThreads;

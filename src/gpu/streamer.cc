@@ -403,7 +403,7 @@ Streamer::commit(Cycle cycle)
     }
 }
 
-void
+sim::Next
 Streamer::update(Cycle cycle)
 {
     _statCacheMisses.tickFrom(cycle, 0);
@@ -420,13 +420,14 @@ Streamer::update(Cycle cycle)
     handleShaded(cycle);
     commit(cycle);
 
-    _busy = progressPossible(cycle + 1);
     // A missing vertex waiting for request credits counts a miss
     // per cycle it retries.
     _statCacheMisses.tickFrom(
         cycle + 1, canDispatch() && _batch->state->indexStream.enabled &&
                        nextNeedsFetch() &&
                        _mem.requestCredits() < _numStreams);
+    return progressPossible(cycle + 1) ? sim::Next::runs()
+                                       : sim::Next::sleeps();
 }
 
 bool

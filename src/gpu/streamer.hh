@@ -38,13 +38,8 @@ class Streamer : public sim::Box
     Streamer(sim::SignalBinder& binder, sim::StatisticManager& stats,
              const GpuConfig& config);
 
-    void update(Cycle cycle) override;
+    sim::Next update(Cycle cycle) override;
     bool empty() const override;
-    /** Set by each update: a draw to start, index or attribute
-     * requests with credit, a vertex for the shading link or the
-     * assembly link with credit.  Memory responses, shaded vertices
-     * and credits arrive as inputs. */
-    bool busy() const override { return _busy; }
 
   private:
     using OutputRegs =
@@ -139,8 +134,6 @@ class Streamer : public sim::Box
     std::vector<OutputRegs> _cacheOut;
     u32 _cacheCount = 0;
     u32 _cacheHead = 0;
-
-    bool _busy = false;
 
     sim::Statistic& _statVertices;
     sim::Statistic& _statCacheHits;

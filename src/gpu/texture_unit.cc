@@ -155,7 +155,7 @@ TextureUnit::finish(Cycle cycle)
     }
 }
 
-void
+sim::Next
 TextureUnit::update(Cycle cycle)
 {
     _statBusy.tickFrom(cycle, 0);
@@ -169,15 +169,17 @@ TextureUnit::update(Cycle cycle)
     process(cycle);
     acceptRequests(cycle);
     _cache.clock(cycle, _mem, MemClient::TextureCache);
-    _busy = progressPossible();
     // An active request counts a busy cycle per cycle, stalled on a
     // fill or filtering.
     _statBusy.tickFrom(cycle + 1, _activeLive);
-    if (_activeLive && _active.filtering)
-        wakeAt(_active.filterDoneAt);
     _statRequests.commit();
     _statBilinearOps.commit();
     _statBusy.commit();
+    if (progressPossible())
+        return sim::Next::runs();
+    return _activeLive && _active.filtering
+               ? sim::Next::until(_active.filterDoneAt)
+               : sim::Next::sleeps();
 }
 
 bool

@@ -31,11 +31,8 @@ class TextureUnit : public sim::Box
                 sim::StatisticManager& stats, const GpuConfig& config,
                 u32 unit, emu::GpuMemory& memory);
 
-    void update(Cycle cycle) override;
+    sim::Next update(Cycle cycle) override;
     bool empty() const override;
-    /** progressPossible() as the last update left the unit (only
-     * update() changes its state). */
-    bool busy() const override { return _busy; }
 
     /** Wire the texture cache's hit/miss events (cache unit name =
      * box name, matching the cacheHits/cacheMisses statistics). */
@@ -49,7 +46,7 @@ class TextureUnit : public sim::Box
     /** A request can move: a result with a response credit, a
      * queued request to start, a line access that hits or starts a
      * fill, an arrival with queue room, or cache traffic to issue.
-     * Filtering ends on a wake at filterDoneAt. */
+     * Filtering ends at filterDoneAt. */
     bool progressPossible() const;
 
     /** A request being processed. */
@@ -85,8 +82,6 @@ class TextureUnit : public sim::Box
     bool _activeLive = false;
     sim::RingQueue<TexRequestPtr> _done; ///< Awaiting resp credit.
     u32 _rrNext = 0;
-
-    bool _busy = false;
 
     sim::BatchedStat _statRequests;
     sim::BatchedStat _statBilinearOps;

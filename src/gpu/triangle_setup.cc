@@ -19,14 +19,21 @@ TriangleSetup::TriangleSetup(sim::SignalBinder& binder,
               config.setupLatency, config.fragmentGenQueue);
 }
 
-void
+sim::Next
 TriangleSetup::update(Cycle cycle)
 {
     _in.clock(cycle);
     _out.clock(cycle);
+    if (!_in.empty() && _out.canSend(cycle))
+        setup(cycle);
+    // A queued triangle moves only with an output credit.
+    return !_in.empty() && _out.credits() > 0 ? sim::Next::runs()
+                                              : sim::Next::sleeps();
+}
 
-    if (_in.empty() || !_out.canSend(cycle))
-        return;
+void
+TriangleSetup::setup(Cycle cycle)
+{
     _statBusy.inc();
 
     TriangleObjPtr tri = _in.pop(cycle);

@@ -24,16 +24,13 @@ class TriangleSetup : public sim::Box
                   sim::StatisticManager& stats,
                   const GpuConfig& config);
 
-    void update(Cycle cycle) override;
+    sim::Next update(Cycle cycle) override;
     bool empty() const override;
-    /** A queued triangle moves only with an output credit. */
-    bool
-    busy() const override
-    {
-        return !_in.empty() && _out.credits() > 0;
-    }
 
   private:
+    /** Set up the head triangle and pass it on, or cull it. */
+    void setup(Cycle cycle);
+
     LinkRx<TriangleObj> _in;
     LinkTx _out;
 

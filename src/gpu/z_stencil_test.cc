@@ -1,5 +1,6 @@
 #include "gpu/z_stencil_test.hh"
 
+#include <algorithm>
 #include <cstring>
 
 #include "emu/fragment_op_emulator.hh"
@@ -333,7 +334,7 @@ ZStencilTest::progressPossible() const
             _surface.cacheWouldProgress());
 }
 
-void
+sim::Next
 ZStencilTest::update(Cycle cycle)
 {
     _earlyIn.clock(cycle);
@@ -372,18 +373,22 @@ ZStencilTest::update(Cycle cycle)
         _surface.clockCache(cycle);
     }
     sendHzUpdates(cycle);
-    _busy = progressPossible();
-    wakeAt(_surface.clearDoneAt());
-    if (_surface.running()) {
-        if (!_delayInterp.empty() && _toInterp.credits() > 0)
-            wakeAt(_delayInterp.front().readyAt);
-        if (!_delayRopc.empty() && _toRopc.credits() > 0)
-            wakeAt(_delayRopc.front().readyAt);
-    }
     _statQuads.commit();
     _statFragsTested.commit();
     _statFragsPassed.commit();
     _statBusy.commit();
+    if (progressPossible())
+        return sim::Next::runs();
+    // Asleep until a clear ends or a delay head with a credit is
+    // ready.
+    Cycle wake = _surface.clearDoneAt();
+    if (_surface.running()) {
+        if (!_delayInterp.empty() && _toInterp.credits() > 0)
+            wake = std::min(wake, _delayInterp.front().readyAt);
+        if (!_delayRopc.empty() && _toRopc.credits() > 0)
+            wake = std::min(wake, _delayRopc.front().readyAt);
+    }
+    return sim::Next::until(wake);
 }
 
 bool

@@ -67,11 +67,8 @@ class ZStencilTest : public sim::Box
                  const GpuConfig& config, u32 unit,
                  emu::GpuMemory& memory);
 
-    void update(Cycle cycle) override;
+    sim::Next update(Cycle cycle) override;
     bool empty() const override;
-    /** progressPossible() as the last update left the unit (only
-     * update() changes its state). */
-    bool busy() const override { return _busy; }
 
     /** Wire the Z cache's hit/miss events (cache unit name = box
      * name, matching the cacheHits/cacheMisses statistics). */
@@ -84,9 +81,8 @@ class ZStencilTest : public sim::Box
 
   private:
     /** A control step, an input head, cache traffic or an HZ update
-     * can move.  A delay pipeline's head leaves on a wake at its
-     * ready cycle (or on a returned credit), a clear on a wake at
-     * its end. */
+     * can move.  A delay pipeline's head leaves at its ready cycle
+     * (or on a returned credit), a clear at its end. */
     bool progressPossible() const;
 
     /** Output delay pipelines (ROP latency).  The early (to the
@@ -147,8 +143,6 @@ class ZStencilTest : public sim::Box
 
     sim::RingQueue<Delayed> _delayInterp;
     sim::RingQueue<Delayed> _delayRopc;
-
-    bool _busy = false;
 
     sim::BatchedStat _statQuads;
     sim::BatchedStat _statFragsTested;

@@ -14,7 +14,9 @@
  *                     signal writes.  No other box observes these
  *                     writes yet, so phase A has no ordering hazards
  *                     between boxes and may run concurrently for all
- *                     boxes.
+ *                     boxes.  It returns the box's next step (Next):
+ *                     clock me next cycle, sleep until an input
+ *                     arrives, or sleep until a cycle or an input.
  *  - propagate(cycle) (phase B): publish the staged writes into the
  *                     signals' delivery slots.  Each signal has a
  *                     single writer box, so phase B is also free of
@@ -62,6 +64,37 @@
 namespace attila::sim
 {
 
+/** Sentinel cycle: never. */
+inline constexpr Cycle NoWake = ~Cycle{0};
+
+/**
+ * A box's next step, as its update() states it.  Either way an
+ * input arriving clocks the box (see Box::idleAt()).
+ *
+ *  - runs():     clock the box next cycle;
+ *  - sleeps():   skip it until an input arrives;
+ *  - until(c):   skip it until cycle c or an input, whichever comes
+ *                first; until(NoWake) is sleeps().
+ */
+class Next
+{
+  public:
+    static constexpr Next runs() { return Next(0); }
+    static constexpr Next sleeps() { return Next(NoWake); }
+    static constexpr Next until(Cycle cycle) { return Next(cycle); }
+
+    /** The first cycle the box is due without an input: 0 for
+     * runs(), NoWake for sleeps(). */
+    constexpr Cycle wake() const { return _wake; }
+
+    constexpr bool operator==(const Next&) const = default;
+
+  private:
+    constexpr explicit Next(Cycle wake) : _wake(wake) {}
+
+    Cycle _wake;
+};
+
 /** Base class for all simulated pipeline units. */
 class Box
 {
@@ -85,9 +118,10 @@ class Box
 
     /**
      * Phase A: read inputs, advance internal state, stage output
-     * writes.  Must not touch state owned by another box.
+     * writes, and say when the box must run next.  Must not touch
+     * state owned by another box.
      */
-    virtual void update(Cycle cycle) = 0;
+    virtual Next update(Cycle cycle) = 0;
 
     /**
      * Phase B: publish the output writes staged during update(),
@@ -120,7 +154,7 @@ class Box
     void
     clock(Cycle cycle)
     {
-        update(cycle);
+        _next = update(cycle);
         propagate(cycle);
     }
 
@@ -134,7 +168,7 @@ class Box
     //
     // A box is *asleep* at a cycle when its update() would be a
     // semantic no-op: nothing it holds can move without a new input,
-    // and no scheduled wakeup is due.  The scheduler then skips both
+    // and no timer it runs is due.  The scheduler then skips both
     // phases for the cycle without changing any observable (cycle
     // counts, statistics, signal traffic) — the basis for the
     // engine's activity-driven clocking.  A box that holds work but
@@ -142,20 +176,20 @@ class Box
     // condition.
     //
     // Contract for implementors:
-    //  - busy() means "update() can change state, a statistic or an
-    //    output this cycle without a new input".  A box blocked on an
-    //    output credit, a memory fill, a retire or an ack is not
-    //    busy(): those arrive on input wires, and every input signal
-    //    holding an object or token keeps its reader awake
-    //    automatically (signal delivery marks the consumer active).
-    //    The default returns true, so a box that does not opt in is
-    //    simply always clocked.  update() should decide each step
-    //    through the same predicate busy() asks, so the two cannot
-    //    drift apart.
-    //  - Work that becomes possible at a known future cycle (a delay
-    //    queue's head, a bus transfer, a filter or DRAM bank timer)
-    //    is announced with wakeAt(); the scheduler guarantees the box
-    //    is clocked no later than the announced cycle.
+    //  - update() returns the box's whole next step.  Next::runs()
+    //    means "the next update can change state, a statistic or an
+    //    output without a new input".  A box blocked on an output
+    //    credit, a memory fill, a retire or an ack sleeps(): those
+    //    arrive on input wires, and every input signal holding an
+    //    object or token keeps its reader awake automatically
+    //    (signal delivery marks the consumer active).  Work that
+    //    becomes possible at a known future cycle (a delay queue's
+    //    head, a bus transfer, a filter or DRAM bank timer) is
+    //    until() that cycle.  The returned value replaces the last
+    //    one, so every update re-derives its timers.
+    //  - A box starts asleep.  Work handed to it outside update()
+    //    (a command stream, a toy box's first step) wakes it through
+    //    wake().
     //  - A statistic that a blocked update() would advance every
     //    cycle (busy or stall cycles) is ticked instead: the update
     //    switches the tick off for its own cycle (tickFrom(cycle, 0))
@@ -165,37 +199,26 @@ class Box
     //  - The sleep oracle (Scheduler::setSleepOracle, tests only)
     //    checks all of this: it clocks every box that is skipped
     //    while !empty() and panics if that update staged a write,
-    //    changed one of the box's statistics, set a wake or left the
-    //    box busy().
+    //    changed one of the box's statistics, or returned a step
+    //    that runs the box before the stored one would.
+
+    /** The step the last update() returned (sleeps() before the
+     * first, unless wake() was called). */
+    Next next() const { return _next; }
 
     /**
-     * True while update() can make progress without a new input.
-     * Override to opt in to idle skipping; the conservative default
-     * keeps the box clocked every cycle.
-     */
-    virtual bool busy() const { return true; }
-
-    /** Sentinel for "no wakeup scheduled". */
-    static constexpr Cycle NoWake = ~Cycle{0};
-
-    /** Earliest scheduled wakeup, or NoWake. */
-    Cycle nextWake() const { return _nextWake; }
-
-    /**
-     * True when the scheduler may skip this box at @p cycle: not
-     * busy, no wakeup due, and no object or token in flight on any
-     * input signal.  An object is counted from the moment its writer
-     * commits until it is read, so a sleeping consumer is clocked
-     * throughout the delivery window and can never miss an arrival
-     * (which would otherwise trip the signal's data-loss check).
-     * The two loads come first: busy() is the costlier test.
+     * True when the scheduler may skip this box at @p cycle: its
+     * last step is not due, and no object or token is in flight on
+     * any input signal.  An object is counted from the moment its
+     * writer commits until it is read, so a sleeping consumer is
+     * clocked throughout the delivery window and can never miss an
+     * arrival (which would otherwise trip the signal's data-loss
+     * check).
      */
     bool
     idleAt(Cycle cycle) const
     {
-        if (liveInputs() != 0 || cycle >= _nextWake)
-            return false;
-        return !busy();
+        return liveInputs() == 0 && cycle < _next.wake();
     }
 
     /**
@@ -209,16 +232,11 @@ class Box
         return _liveInputs.load(std::memory_order_relaxed);
     }
 
-    /**
-     * Scheduler entry point for phase A: clears an expired wakeup
-     * hint (the box re-arms it from update() when needed) and runs
-     * update().
-     */
+    /** Scheduler entry point for phase A: runs update() and stores
+     * the step it returns. */
     void
     beginUpdate(Cycle cycle)
     {
-        if (cycle >= _nextWake)
-            _nextWake = NoWake;
         if constexpr (kEventTraceCompiled) {
             // Activity span bookkeeping.  The fields are only ever
             // touched by the one thread clocking this box this cycle
@@ -234,7 +252,7 @@ class Box
                 _spanLast = cycle;
             }
         }
-        update(cycle);
+        _next = update(cycle);
     }
 
     /**
@@ -354,18 +372,9 @@ class Box
         return s;
     }
 
-    /**
-     * Announce that this box, though currently not busy(), has work
-     * scheduled at @p cycle.  Earlier of the two wins when a wakeup
-     * is already pending; the hint is cleared when the box is next
-     * clocked at or after the announced cycle.
-     */
-    void
-    wakeAt(Cycle cycle)
-    {
-        if (cycle < _nextWake)
-            _nextWake = cycle;
-    }
+    /** Clock this box next cycle: for work handed to it outside
+     * update(). */
+    void wake() { _next = Next::runs(); }
 
     SignalBinder& binder() { return _binder; }
     StatisticManager& statistics() { return _stats; }
@@ -388,7 +397,7 @@ class Box
     u64 _dirtyOutputs = 0;
     /** See liveInputs() and the file comment. */
     std::atomic<u64> _liveInputs{0};
-    Cycle _nextWake = NoWake;
+    Next _next = Next::sleeps();
     bool _skipped = false;
     EventTrace* _eventTrace = nullptr;
     u16 _eventTraceId = 0;

@@ -224,18 +224,18 @@ Scheduler::checkAsleep(Box& box, Cycle cycle)
 {
     // A skipped cycle counts every ticking statistic at its rate, so
     // compare each statistic as it stands through this cycle, and its
-    // rate for the cycles after.  A box whose wake is due next cycle
-    // is clocked then anyway: what its update sets up for that cycle
-    // on (the rate, busy()) is its own business.
+    // rate for the cycles after.  A box whose stored step is due next
+    // cycle is clocked then anyway: what its update sets up for that
+    // cycle on (the rate, its step) is its own business.
     const std::vector<Statistic*>& stats = box.ownStatistics();
     std::vector<std::pair<u64, u64>> before;
     before.reserve(stats.size());
     for (const Statistic* s : stats)
         before.emplace_back(s->totalBefore(cycle + 1), s->tickRate());
-    const Cycle wake = box.nextWake();
+    const Cycle wake = box.next().wake();
     const bool clockedNext = wake <= cycle + 1;
 
-    box.update(cycle);
+    const Next next = box.update(cycle);
 
     auto fail = [&](const auto&... what) {
         panic("sleep oracle: box '", box.name(), "' was skipped at cycle ",
@@ -252,10 +252,10 @@ Scheduler::checkAsleep(Box& box, Cycle cycle)
                  before[i].second, " -> ", s.tickRate(), " per cycle)");
         }
     }
-    if (box.nextWake() < wake)
-        fail("set a wake at cycle ", box.nextWake());
-    if (!clockedNext && box.busy())
-        fail("left it busy()");
+    if (!clockedNext && next == Next::runs())
+        fail("returned Next::runs()");
+    if (std::max(cycle + 1, next.wake()) < wake)
+        fail("returned Next::until(", next.wake(), ")");
 }
 
 /**

@@ -65,9 +65,9 @@ class Scheduler
     /**
      * Enable or disable idle skipping (default on).  Disabling
      * restores the always-clock reference path: every box runs both
-     * phases every cycle, exactly as before the activity contract
-     * existed.  Observables are identical either way; the switch
-     * exists for debugging and A/B benchmarking.
+     * phases every cycle, whatever step its update returned.
+     * Observables are identical either way, and tests compare the
+     * skipping run against this one.
      */
     void setIdleSkip(bool enable) { _idleSkip = enable; }
     bool idleSkip() const { return _idleSkip; }
@@ -77,9 +77,11 @@ class Scheduler
      * box the skip pass skips while it holds work (!empty()) is
      * clocked anyway, in the skip pass, and the scheduler panics
      * naming the box and the cycle if that update staged a write,
-     * changed one of the box's statistics (ticks included), set a
-     * wake or left the box busy().  The update must have been a
-     * no-op, so a passing run is still bit-identical.
+     * changed one of the box's statistics (ticks included), or
+     * returned a step due before the stored one (Next::runs(), or an
+     * earlier Next::until()).  The update must have been a no-op, so
+     * a passing run is still bit-identical; the step it returns is
+     * not stored.
      */
     void setSleepOracle(bool enable) { _sleepOracle = enable; }
 
@@ -115,8 +117,8 @@ class SerialScheduler final : public Scheduler
     {
         if (!idleSkip()) {
             // Always-clock reference path; beginUpdate still
-            // retires expired wake hints so toggling the mode
-            // mid-run cannot leave stale ones behind.
+            // stores each step so toggling the mode mid-run starts
+            // from current ones.
             for (Box* box : boxes)
                 box->beginUpdate(cycle);
             for (Box* box : boxes)

@@ -196,13 +196,13 @@ class Simulator
             return 0;
         if (_sleepOracle && !allEmpty())
             return 0;
-        Cycle wake = Box::NoWake;
+        Cycle wake = NoWake;
         for (const Box* box : _boxes)
-            wake = std::min(wake, box->nextWake());
+            wake = std::min(wake, box->next().wake());
         if (wake <= _cycle)
             return 0; // Wakeup due at the very next cycle.
         const u64 skip =
-            wake == Box::NoWake ? maxCycles
+            wake == NoWake ? maxCycles
                                 : std::min<u64>(maxCycles, wake - _cycle);
         _stats.skipCycles(_cycle, _cycle + skip);
         _cycle += skip;

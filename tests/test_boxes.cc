@@ -29,13 +29,16 @@ class HostBox : public sim::Box
     HostBox(sim::SignalBinder& binder, sim::StatisticManager& stats,
             std::string name)
         : Box(binder, stats, std::move(name))
-    {}
+    {
+        wake();
+    }
 
-    void
+    sim::Next
     update(Cycle cycle) override
     {
         if (tick)
             tick(cycle);
+        return sim::Next::runs();
     }
 
     std::function<void(Cycle)> tick;

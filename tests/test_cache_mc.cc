@@ -64,14 +64,16 @@ class ClientBox : public sim::Box
         : Box(binder, stats, "client")
     {
         mem.init(*this, binder, port, config.memoryRequestQueue);
+        wake();
     }
 
-    void
+    sim::Next
     update(Cycle cycle) override
     {
         mem.clock(cycle);
         if (tick)
             tick(cycle);
+        return sim::Next::runs();
     }
 
     MemPort mem;

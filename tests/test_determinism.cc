@@ -172,7 +172,7 @@ TEST(SchedulerDeterminism, IdleSkipBitIdentical)
     // each of the six fingerprinted configurations is compared with
     // 1000-cycle windows: serial with idle skipping off (the
     // reference), serial with it on, and the partitioned engine with
-    // two threads, whose serial skip pass asks the same busy().
+    // two threads, whose serial skip pass reads the same steps.
     for (const fig10::Config& scene : fig10::configs()) {
         const gpu::CommandList list = fig10::commands(scene.scene);
         auto run = [&](bool skip, gpu::SchedulerKind kind) {

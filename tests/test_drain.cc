@@ -110,14 +110,16 @@ TEST(DrainDetection, QuiescenceSeesInFlightSignalData)
             : Box(binder, stats, "producer")
         {
             _out = output("wire", 1, 20);
+            wake();
         }
-        void
+        sim::Next
         update(Cycle cycle) override
         {
             if (!sent) {
                 _out->write(cycle, std::make_shared<sim::DynamicObject>());
                 sent = true;
             }
+            return sim::Next::runs();
         }
         bool empty() const override { return sent; }
         sim::Signal* _out = nullptr;
@@ -132,12 +134,14 @@ TEST(DrainDetection, QuiescenceSeesInFlightSignalData)
             : Box(binder, stats, "consumer")
         {
             _in = input("wire", 1, 20);
+            wake();
         }
-        void
+        sim::Next
         update(Cycle cycle) override
         {
             if (_in->read(cycle))
                 ++received;
+            return sim::Next::runs();
         }
         sim::Signal* _in = nullptr;
         u32 received = 0;

@@ -34,14 +34,16 @@ class ClientBox : public sim::Box
     {
         mem.init(*this, binder, "mc.test",
                  config.memoryRequestQueue);
+        wake();
     }
 
-    void
+    sim::Next
     update(Cycle cycle) override
     {
         mem.clock(cycle);
         if (tick)
             tick(cycle);
+        return sim::Next::runs();
     }
 
     MemPort mem;

@@ -61,7 +61,7 @@ tracedConfig()
     return config;
 }
 
-/** Fires every @p period cycles via wakeAt(), idle in between. */
+/** Fires every @p period cycles, asleep in between. */
 class PeriodicBox : public Box
 {
   public:
@@ -69,17 +69,15 @@ class PeriodicBox : public Box
                 std::string name, Cycle period)
         : Box(binder, stats, std::move(name)), _period(period)
     {
-        wakeAt(0);
+        wake();
     }
 
-    void
+    Next
     update(Cycle cycle) override
     {
         ++updates;
-        wakeAt(cycle + _period);
+        return Next::until(cycle + _period);
     }
-
-    bool busy() const override { return false; }
 
     u64 updates = 0;
 

@@ -116,6 +116,46 @@ runOnGpu(const CommandList& list,
                                  : gpu->frames().back();
 }
 
+/** A depth-tested frame of @p triangles overlapping, partially
+ * offscreen triangles with random positions, depths and colours. */
+CommandList
+randomTrianglesFrame(u64 seed, u32 triangles)
+{
+    CommandList list;
+    emitSurfaceSetup(list);
+    emitPassthroughPrograms(list);
+    list.push_back(Command::writeReg(Reg::DepthTestEnable,
+                                     RegValue(1u)));
+    list.push_back(Command::writeReg(
+        Reg::DepthFunc,
+        RegValue(static_cast<u32>(emu::CompareFunc::Less))));
+    list.push_back(Command::writeReg(Reg::DepthWriteMask,
+                                     RegValue(1u)));
+    list.push_back(Command::clearColor());
+    list.push_back(Command::clearZStencil());
+
+    std::vector<emu::Vec4> positions;
+    std::vector<emu::Vec4> colors;
+    u64 state = seed;
+    auto rnd = [&]() {
+        state = state * 6364136223846793005ull + 1;
+        return static_cast<f32>((state >> 33) & 0xffff) / 65536.0f;
+    };
+    for (u32 t = 0; t < triangles; ++t) {
+        for (u32 v = 0; v < 3; ++v) {
+            positions.push_back({rnd() * 3 - 1.5f, rnd() * 3 - 1.5f,
+                                 rnd() * 1.6f - 0.8f, 1.0f});
+            colors.push_back({rnd(), rnd(), rnd(), 1.0f});
+        }
+    }
+    emitVertexData(list, 0x100000, 0x110000, positions, colors);
+    list.push_back(Command::drawBatch(Primitive::Triangles,
+                                      static_cast<u32>(
+                                          positions.size())));
+    list.push_back(Command::swap());
+    return list;
+}
+
 u32
 rgba(u8 r, u8 g, u8 b, u8 a = 255)
 {
@@ -254,38 +294,7 @@ TEST(GpuPipeline, MatchesReferenceRenderer)
     // the independent functional renderer must produce identical
     // images for a scene with overlapping, depth-tested, partially
     // offscreen triangles.
-    CommandList list;
-    emitSurfaceSetup(list);
-    emitPassthroughPrograms(list);
-    list.push_back(Command::writeReg(Reg::DepthTestEnable,
-                                     RegValue(1u)));
-    list.push_back(Command::writeReg(
-        Reg::DepthFunc,
-        RegValue(static_cast<u32>(emu::CompareFunc::Less))));
-    list.push_back(Command::writeReg(Reg::DepthWriteMask,
-                                     RegValue(1u)));
-    list.push_back(Command::clearColor());
-    list.push_back(Command::clearZStencil());
-
-    std::vector<emu::Vec4> positions;
-    std::vector<emu::Vec4> colors;
-    u64 state = 7;
-    auto rnd = [&]() {
-        state = state * 6364136223846793005ull + 1;
-        return static_cast<f32>((state >> 33) & 0xffff) / 65536.0f;
-    };
-    for (u32 t = 0; t < 12; ++t) {
-        for (u32 v = 0; v < 3; ++v) {
-            positions.push_back({rnd() * 3 - 1.5f, rnd() * 3 - 1.5f,
-                                 rnd() * 1.6f - 0.8f, 1.0f});
-            colors.push_back({rnd(), rnd(), rnd(), 1.0f});
-        }
-    }
-    emitVertexData(list, 0x100000, 0x110000, positions, colors);
-    list.push_back(Command::drawBatch(Primitive::Triangles,
-                                      static_cast<u32>(
-                                          positions.size())));
-    list.push_back(Command::swap());
+    const CommandList list = randomTrianglesFrame(7, 12);
 
     const FrameImage gpuFrame = runOnGpu(list);
 
@@ -295,6 +304,54 @@ TEST(GpuPipeline, MatchesReferenceRenderer)
     const FrameImage& refFrame = ref.frames()[0];
 
     EXPECT_EQ(gpuFrame.diffCount(refFrame), 0u);
+}
+
+// Work submitted to a drained GPU starts again: the Command
+// Processor sleeps once the first frame drains, and the second
+// submit must wake it.  Both frames match the reference renderer,
+// and the cycle counts agree with idle skipping off, on, and under
+// the sleep oracle.
+TEST(GpuPipeline, SubmitAfterDrainRenders)
+{
+    const CommandList first = randomTrianglesFrame(7, 12);
+    const CommandList second = randomTrianglesFrame(11, 16);
+    RefRenderer ref(8u << 20);
+    ref.execute(first);
+    ref.execute(second);
+    ASSERT_EQ(ref.frames().size(), 2u);
+
+    struct Mode
+    {
+        const char* name;
+        bool idleSkip;
+        bool oracle;
+    };
+    std::vector<Cycle> reference;
+    for (const Mode mode : {Mode{"always clocked", false, false},
+                            Mode{"idle skip", true, false},
+                            Mode{"sleep oracle", true, true}}) {
+        GpuConfig config = GpuConfig::baseline();
+        config.memorySize = 8u << 20;
+        Gpu gpu(config);
+        gpu.simulator().setIdleSkip(mode.idleSkip);
+        gpu.simulator().setSleepOracle(mode.oracle);
+        std::vector<Cycle> cycles;
+        for (const CommandList* frame : {&first, &second}) {
+            gpu.submit(*frame);
+            ASSERT_TRUE(gpu.runUntilIdle(2'000'000))
+                << mode.name << ": frame " << cycles.size()
+                << " did not drain";
+            cycles.push_back(gpu.cycle());
+        }
+        ASSERT_EQ(gpu.frames().size(), 2u) << mode.name;
+        for (u32 f = 0; f < 2; ++f) {
+            EXPECT_EQ(gpu.frames()[f].diffCount(ref.frames()[f]), 0u)
+                << mode.name << ": frame " << f;
+        }
+        if (reference.empty())
+            reference = cycles;
+        EXPECT_EQ(cycles, reference) << mode.name;
+    }
 }
 
 struct VertexCacheCounts

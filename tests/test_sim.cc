@@ -37,9 +37,11 @@ class NullBox : public Box
     NullBox(SignalBinder& binder, StatisticManager& stats,
             std::string name)
         : Box(binder, stats, std::move(name))
-    {}
+    {
+        wake();
+    }
 
-    void update(Cycle) override {}
+    Next update(Cycle) override { return Next::runs(); }
 
     Signal*
     addInput(const std::string& name, u32 bw, u32 lat)
@@ -685,9 +687,10 @@ class PulseBox : public Box
         : Box(binder, stats, std::move(name)), _count(count)
     {
         _out = output(std::move(wire), 1, 1);
+        wake();
     }
 
-    void
+    Next
     update(Cycle cycle) override
     {
         if (_sent < _count) {
@@ -695,6 +698,7 @@ class PulseBox : public Box
             ++_sent;
             stat("sent").inc();
         }
+        return Next::runs();
     }
 
     bool empty() const override { return _sent >= _count; }
@@ -714,15 +718,17 @@ class SinkBox : public Box
         : Box(binder, stats, std::move(name))
     {
         _in = input(std::move(wire), 1, 1);
+        wake();
     }
 
-    void
+    Next
     update(Cycle cycle) override
     {
         if (_in->read(cycle)) {
             ++received;
             stat("received").inc();
         }
+        return Next::runs();
     }
 
     Signal* _in;
@@ -736,14 +742,17 @@ class FaultyBox : public Box
     FaultyBox(SignalBinder& binder, StatisticManager& stats,
               std::string name, Cycle fault_cycle)
         : Box(binder, stats, std::move(name)), _fault(fault_cycle)
-    {}
+    {
+        wake();
+    }
 
-    void
+    Next
     update(Cycle cycle) override
     {
         if (cycle == _fault)
             panic("box '", name(), "': injected fault at cycle ",
                   cycle);
+        return Next::runs();
     }
 
   private:
@@ -823,19 +832,21 @@ class SeqPulseBox : public Box
           _perCycle(per_cycle)
     {
         _out = output(std::move(wire), per_cycle, 1);
+        wake();
     }
 
-    void
+    Next
     update(Cycle cycle) override
     {
         if (_sent >= _count)
-            return;
+            return Next::runs();
         for (u32 i = 0; i < _perCycle; ++i) {
             auto obj = makeObj();
             obj->setColor(_seq++);
             _out->write(cycle, std::move(obj));
         }
         ++_sent;
+        return Next::runs();
     }
 
     bool empty() const override { return _sent >= _count; }
@@ -861,9 +872,10 @@ class OrderHashSink : public Box
     {
         for (const std::string& wire : wires)
             _ins.push_back(input(wire, bandwidth, 1));
+        wake();
     }
 
-    void
+    Next
     update(Cycle cycle) override
     {
         for (Signal* in : _ins) {
@@ -872,6 +884,7 @@ class OrderHashSink : public Box
                 hash *= 1099511628211ull;
             }
         }
+        return Next::runs();
     }
 
     std::vector<Signal*> _ins;
@@ -992,8 +1005,15 @@ TEST(Simulator, DrainDetection)
       public:
         CountBox(SignalBinder& binder, StatisticManager& stats)
             : Box(binder, stats, "count")
-        {}
-        void update(Cycle) override { ++ticks; }
+        {
+            wake();
+        }
+        Next
+        update(Cycle) override
+        {
+            ++ticks;
+            return Next::runs();
+        }
         bool empty() const override { return ticks >= 5; }
         u32 ticks = 0;
     };

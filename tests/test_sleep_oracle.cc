@@ -3,8 +3,8 @@
  * The sleep oracle on the six fingerprinted Figure 10
  * configurations: every box the scheduler skips while it holds work
  * is clocked anyway and must do nothing (no write, no statistic
- * change, no wake, not busy()), and the run must still reach its
- * pinned cycle count.
+ * change, no step due before the stored one), and the run must
+ * still reach its pinned cycle count.
  */
 
 #include <gtest/gtest.h>

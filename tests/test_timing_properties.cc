@@ -118,8 +118,9 @@ TEST(TimingProperties, MemoryPagePenaltyVisible)
         {
             mem.init(*this, binder, "mc.t",
                      config.memoryRequestQueue);
+            wake();
         }
-        void
+        sim::Next
         update(Cycle cycle) override
         {
             mem.clock(cycle);
@@ -135,6 +136,7 @@ TEST(TimingProperties, MemoryPagePenaltyVisible)
                 mem.request(cycle, txn);
                 ++sent;
             }
+            return sim::Next::runs();
         }
         MemPort mem;
         std::vector<u32> addrs;
@@ -182,8 +184,9 @@ TEST(TimingProperties, ReadWriteTurnaroundVisible)
         {
             mem.init(*this, binder, "mc.t",
                      config.memoryRequestQueue);
+            wake();
         }
-        void
+        sim::Next
         update(Cycle cycle) override
         {
             mem.clock(cycle);
@@ -201,6 +204,7 @@ TEST(TimingProperties, ReadWriteTurnaroundVisible)
                 mem.request(cycle, txn);
                 ++sent;
             }
+            return sim::Next::runs();
         }
         MemPort mem;
         bool alternate = false;
