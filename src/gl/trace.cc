@@ -67,35 +67,53 @@ TraceRecorder::record(TraceOp op, std::initializer_list<f64> scalars,
 
 TracePlayer::TracePlayer(const std::string& path)
 {
-    std::ifstream in(path, std::ios::binary);
+    std::ifstream in(path, std::ios::binary | std::ios::ate);
     if (!in)
         fatal("trace player: cannot open '", path, "'");
+    const std::streamoff fileSize = in.tellg();
+    in.seekg(0);
     char magic[8];
     in.read(magic, 8);
     if (!in || std::memcmp(magic, traceMagic, 8) != 0)
         fatal("trace player: '", path, "' is not an AGL trace");
 
-    while (true) {
+    for (u64 index = 0;; ++index) {
         const u16 op = readRaw<u16>(in);
         if (!in)
             break;
+        auto truncated = [&] {
+            fatal("trace player: '", path, "' record ", index,
+                  ": truncated");
+        };
+        if (op >= traceOpCount) {
+            fatal("trace player: '", path, "' record ", index,
+                  ": unknown op ", op);
+        }
+        // A length comes straight from the file: bound it by the
+        // bytes left before allocating anything.
+        auto checkedLength = [&] {
+            const u32 length = readRaw<u32>(in);
+            if (!in || length > fileSize - in.tellg())
+                truncated();
+            return length;
+        };
         TraceRecord rec;
         rec.op = static_cast<TraceOp>(op);
         const u8 nscalars = readRaw<u8>(in);
         rec.scalars.resize(nscalars);
         for (u8 i = 0; i < nscalars; ++i)
             rec.scalars[i] = readRaw<f64>(in);
-        const u32 blob = readRaw<u32>(in);
+        const u32 blob = checkedLength();
         rec.blob.resize(blob);
         if (blob) {
             in.read(reinterpret_cast<char*>(rec.blob.data()), blob);
         }
-        const u32 text = readRaw<u32>(in);
+        const u32 text = checkedLength();
         rec.text.resize(text);
         if (text)
             in.read(rec.text.data(), text);
         if (!in)
-            fatal("trace player: truncated record in '", path, "'");
+            truncated();
         if (rec.op == TraceOp::SwapBuffers)
             ++_frames;
         _records.push_back(std::move(rec));

@@ -48,6 +48,10 @@ enum class TraceOp : u16
     StencilOpBackCall,
 };
 
+/** Number of TraceOp values: one past the last. */
+inline constexpr u16 traceOpCount =
+    static_cast<u16>(TraceOp::StencilOpBackCall) + 1;
+
 /** One decoded trace record. */
 struct TraceRecord
 {
@@ -82,7 +86,9 @@ class TraceRecorder
 class TracePlayer
 {
   public:
-    /** Parse the trace at @p path; throws FatalError on errors. */
+    /** Parse the trace at @p path; throws FatalError, naming the
+     * path and the record index, on a file it cannot open, a
+     * truncated record or an unknown op. */
     explicit TracePlayer(const std::string& path);
 
     /** Number of frames (SwapBuffers records) in the trace. */

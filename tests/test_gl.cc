@@ -6,6 +6,9 @@
  */
 
 #include <cstdio>
+#include <cstdlib>
+#include <new>
+#include <string>
 #include <gtest/gtest.h>
 
 #include "emu/shader_emulator.hh"
@@ -16,6 +19,40 @@
 
 using namespace attila;
 using namespace attila::gl;
+
+namespace
+{
+
+/** Larger than anything this program allocates on purpose: a request
+ * above it is a length taken from a corrupt file. */
+constexpr std::size_t kMaxAllocation = std::size_t{1} << 30;
+
+} // anonymous namespace
+
+// Refuse oversized requests instead of touching gigabytes, so a reader
+// that allocates a corrupt length fails with std::bad_alloc.  Out of
+// line for the reason given in test_cache_mc.cc.
+[[gnu::noinline]] void*
+operator new(std::size_t size)
+{
+    if (size <= kMaxAllocation) {
+        if (void* p = std::malloc(size != 0 ? size : 1))
+            return p;
+    }
+    throw std::bad_alloc();
+}
+
+[[gnu::noinline]] void
+operator delete(void* p) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete(void* p, std::size_t) noexcept
+{
+    std::free(p);
+}
 
 // ===== Allocator ====================================================
 
@@ -412,5 +449,99 @@ TEST(Trace, RejectsCorruptFile)
         out << "NOTATRACE";
     }
     EXPECT_THROW(TracePlayer player(path), FatalError);
+    std::remove(path.c_str());
+}
+
+namespace
+{
+
+/** Little-endian bytes of @p v. */
+template <typename T>
+std::string
+rawBytes(T v)
+{
+    std::string bytes(sizeof(T), '\0');
+    std::memcpy(bytes.data(), &v, sizeof(T));
+    return bytes;
+}
+
+/** A trace file: the magic, then @p body. */
+void
+writeTraceFile(const std::string& path, const std::string& body)
+{
+    std::ofstream out(path, std::ios::binary);
+    out << "AGLTRC01" << body;
+}
+
+/** One record with no scalars, blob or text. */
+std::string
+emptyRecord(u16 op)
+{
+    return rawBytes(op) + rawBytes(u8{0}) + rawBytes(u32{0}) +
+           rawBytes(u32{0});
+}
+
+/** The message of the FatalError loading @p path throws. */
+std::string
+loadError(const std::string& path)
+{
+    try {
+        TracePlayer player(path);
+    } catch (const FatalError& e) {
+        return e.what();
+    }
+    ADD_FAILURE() << "'" << path << "' loaded";
+    return {};
+}
+
+} // anonymous namespace
+
+TEST(Trace, RejectsMissingFile)
+{
+    EXPECT_NE(loadError("test_gl_no_such_trace.tmp")
+                  .find("cannot open 'test_gl_no_such_trace.tmp'"),
+              std::string::npos);
+}
+
+TEST(Trace, RejectsTruncatedRecordNamingIt)
+{
+    const std::string path = "test_gl_trace4.tmp";
+    const u16 swap = static_cast<u16>(TraceOp::SwapBuffers);
+    // Record 1 promises four text bytes and holds two.
+    writeTraceFile(path, emptyRecord(swap) + rawBytes(swap) +
+                             rawBytes(u8{0}) + rawBytes(u32{0}) +
+                             rawBytes(u32{4}) + "ab");
+    EXPECT_NE(loadError(path).find("'" + path +
+                                   "' record 1: truncated"),
+              std::string::npos);
+    std::remove(path.c_str());
+}
+
+TEST(Trace, RejectsHugeLengthWithoutAllocatingIt)
+{
+    // A 20-byte file whose first record claims a 4 GiB blob: it is
+    // truncated, and the claim is never allocated (the operator new
+    // above would throw std::bad_alloc instead).
+    const std::string path = "test_gl_trace5.tmp";
+    writeTraceFile(path, rawBytes(static_cast<u16>(TraceOp::BufferData)) +
+                             rawBytes(u8{0}) + rawBytes(u32{0xFFFFFFFF}) +
+                             std::string(5, '\0'));
+    std::ifstream probe(path, std::ios::binary | std::ios::ate);
+    ASSERT_EQ(probe.tellg(), 20);
+    EXPECT_NE(loadError(path).find("'" + path +
+                                   "' record 0: truncated"),
+              std::string::npos);
+    std::remove(path.c_str());
+}
+
+TEST(Trace, RejectsUnknownOpNamingRecord)
+{
+    const std::string path = "test_gl_trace6.tmp";
+    writeTraceFile(path, emptyRecord(static_cast<u16>(TraceOp::Clear)) +
+                             emptyRecord(static_cast<u16>(TraceOp::Clear)) +
+                             emptyRecord(traceOpCount));
+    EXPECT_NE(loadError(path).find("'" + path + "' record 2: unknown op " +
+                                   std::to_string(traceOpCount)),
+              std::string::npos);
     std::remove(path.c_str());
 }
